@@ -702,5 +702,4 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
         total_biases=sum(s.biases for s in steps),
         neuron_bound=bound,
     )
-    net.metadata = report
     return net, report

@@ -230,6 +230,11 @@ def generate_separated_dataset(n: int, d: int, mode: SeparationMode, seed) -> Da
     rng = _as_rng(seed)
     budget = REJECTIONS_PER_POINT * n
     accepted = np.empty((n, d))
+    # distance-mode scratch, allocated once: a fresh (count, d) array per
+    # candidate is mapped and unmapped by malloc each time, and every
+    # candidate then pays page faults for it
+    diff = np.empty((n, d))
+    dist = np.empty(n)
     count = 0
     rejections = 0
     attempts = 0
@@ -244,7 +249,11 @@ def generate_separated_dataset(n: int, d: int, mode: SeparationMode, seed) -> Da
                 cos = np.clip(accepted[:count] @ cand, -1.0, 1.0)
                 ok = np.arccos(cos).min() >= mode.delta
             else:
-                ok = np.linalg.norm(accepted[:count] - cand, axis=1).min() >= mode.delta
+                # the arithmetic of np.linalg.norm(accepted[:count] - cand, axis=1)
+                sq = np.subtract(accepted[:count], cand, out=diff[:count])
+                np.multiply(sq, sq, out=sq)
+                dc = np.add.reduce(sq, axis=1, out=dist[:count])
+                ok = np.sqrt(dc, out=dc).min() >= mode.delta
             if not ok:
                 rejections += 1
                 if rejections > budget:

@@ -9,9 +9,13 @@ arithmetic with no rounding.
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,7 +170,7 @@ class ThresholdLayer:
 class ThresholdNetwork:
     """Composed threshold layers mapping R^input_dim to one output bit."""
 
-    def __init__(self, layers: Sequence[ThresholdLayer], input_dim: int, metadata=None):
+    def __init__(self, layers: Sequence[ThresholdLayer], input_dim: int):
         layers = list(layers)
         if not layers:
             raise ValueError("network needs at least one layer")
@@ -184,7 +188,6 @@ class ThresholdNetwork:
             raise ValueError("final layer must have exactly one output neuron")
         self.layers = layers
         self.input_dim = input_dim
-        self.metadata = metadata
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThresholdNetwork):
@@ -320,26 +323,46 @@ def audit(net: ThresholdNetwork) -> NetworkAudit:
 # serialize as shortest round-trip decimals.
 
 
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection for the duration of the block.
+
+    A network document holds hundreds of thousands of small entry lists,
+    none of them in a reference cycle. Collections triggered while they
+    are allocated free nothing, yet rescan the whole growing document; on
+    the largest networks that took about a third of serialize and of
+    deserialize.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def serialize(net: ThresholdNetwork) -> bytes:
     doc = {"input_dim": net.input_dim, "layers": []}
     for layer in net.layers:
         if layer.domain == REAL:
             rows, cols = np.nonzero(layer.weights)
-            vals = [float(v) for v in layer.weights[rows, cols]]
-            bias = [float(b) for b in layer.biases]
+            vals = layer.weights[rows, cols]
+            entries = list(map(list, zip(rows.tolist(), cols.tolist(), vals.tolist())))
         else:
-            coo = layer.weights.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            rows, cols = coo.row[order], coo.col[order]
-            vals = [int(v) for v in coo.data[order]]
-            bias = [int(b) for b in layer.biases]
+            # the constructor leaves the CSR canonical: row-major, columns
+            # sorted within each row, no duplicates
+            W = layer.weights
+            rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+            entries = np.column_stack((rows, W.indices, W.data)).tolist()
         doc["layers"].append(
             {
                 "domain": layer.domain,
                 "rows": int(layer.out_dim),
                 "cols": int(layer.in_dim),
-                "entries": [[int(r), int(c), v] for r, c, v in zip(rows, cols, vals)],
-                "bias": bias,
+                "entries": entries,
+                "bias": layer.biases.tolist(),
             }
         )
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -350,6 +373,103 @@ def _expect(cond: bool, where: str, what: str):
         raise SerializationError(f"{where}: {what}")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: JSON numbers parse to these types; bool counts as an int, as in isinstance
+_INT_TYPES = {int, bool}
+_NUMBER_TYPES = {int, float, bool}
+
+
+def _int64_array(values) -> Optional[np.ndarray]:
+    """Python ints as an int64 vector; None if any value is not an int in range.
+
+    numpy infers int64 (or bool) exactly when every value is an int that
+    fits; an int past int64, a float, a string or a nested list gives
+    another dtype or shape.
+    """
+    try:
+        a = np.array(values)
+    except ValueError:  # nested lists of unequal length
+        return None
+    if a.ndim != 1 or a.dtype.kind not in "bi":
+        return None
+    return a.astype(np.int64)
+
+
+def _finite_float_array(values) -> Optional[np.ndarray]:
+    """Python numbers as a float64 vector; None if any is not a finite number."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        a = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        return None
+    return a if np.isfinite(a).all() else None
+
+
+def _is_finite_number(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _entry_arrays(entries: list, rows_n: int, cols_n: int, domain: str):
+    """(rows, cols, values) of a layer's entries, or None if any entry is bad.
+
+    Applies every rule of _raise_first_bad_entry to whole arrays at once.
+    """
+    if not entries:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, (empty if domain == INTEGER else empty.astype(np.float64))
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
+        return None
+    flat = list(chain.from_iterable(entries))
+    rows, cols = _int64_array(flat[0::3]), _int64_array(flat[1::3])
+    if rows is None or cols is None:
+        return None
+    if rows.min() < 0 or rows.max() >= rows_n or cols.min() < 0 or cols.max() >= cols_n:
+        return None
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
+        return None
+    if domain == INTEGER:
+        vals = _int64_array(flat[2::3])
+        if vals is None or not vals.all():
+            return None
+    else:
+        vals = _finite_float_array(flat[2::3])
+        if vals is None:
+            return None
+    return rows, cols, vals
+
+
+def _raise_first_bad_entry(entries: list, rows_n: int, cols_n: int, domain: str, where: str):
+    """Raise SerializationError for the lowest-index entry that breaks a rule.
+
+    Called only after _entry_arrays has rejected the layer, to name the
+    entry and the rule as an entry-by-entry reading would.
+    """
+    seen = set()
+    for ei, e in enumerate(entries):
+        ew = f"{where}.entries[{ei}]"
+        _expect(isinstance(e, list) and len(e) == 3, ew, "must be [row, col, value]")
+        r, c, v = e
+        _expect(isinstance(r, int) and 0 <= r < rows_n, ew, f"row {r!r} out of range")
+        _expect(isinstance(c, int) and 0 <= c < cols_n, ew, f"col {c!r} out of range")
+        _expect((r, c) not in seen, ew, f"duplicate entry at ({r}, {c})")
+        seen.add((r, c))
+        if domain == INTEGER:
+            _expect(isinstance(v, int), ew, f"integer layer value must be an int, got {v!r}")
+            _expect(v != 0, ew, "structural zero not allowed in integer layer")
+            _expect(-_INT64_MAX - 1 <= v <= _INT64_MAX, ew, f"value {v} does not fit in int64")
+        else:
+            _expect(isinstance(v, (int, float)), ew, f"value must be a number, got {v!r}")
+            _expect(_is_finite_number(v), ew, f"value {v!r} is not a finite float64")
+    raise RuntimeError(f"{where}.entries: rejected as a whole, but no entry breaks a rule")
+
+
+@_gc_paused()
 def deserialize(data: bytes) -> ThresholdNetwork:
     try:
         doc = json.loads(data)
@@ -369,41 +489,29 @@ def deserialize(data: bytes) -> ThresholdNetwork:
         _expect(domain in (REAL, INTEGER), f"{where}.domain", f"must be 'real' or 'integer', got {domain!r}")
         rows_n = entry.get("rows")
         cols_n = entry.get("cols")
-        _expect(isinstance(rows_n, int) and rows_n >= 1, f"{where}.rows", "must be a positive integer")
-        _expect(isinstance(cols_n, int) and cols_n >= 1, f"{where}.cols", "must be a positive integer")
+        for key, size in (("rows", rows_n), ("cols", cols_n)):
+            _expect(isinstance(size, int) and 1 <= size <= _INT64_MAX, f"{where}.{key}",
+                    "must be a positive integer that fits in int64")
         bias = entry.get("bias")
         _expect(isinstance(bias, list) and len(bias) == rows_n, f"{where}.bias", f"must be a list of length {rows_n}")
         entries = entry.get("entries")
         _expect(isinstance(entries, list), f"{where}.entries", "must be a list")
-        rr, cc, vv = [], [], []
-        seen = set()
-        for ei, e in enumerate(entries):
-            ew = f"{where}.entries[{ei}]"
-            _expect(isinstance(e, list) and len(e) == 3, ew, "must be [row, col, value]")
-            r, c, v = e
-            _expect(isinstance(r, int) and 0 <= r < rows_n, ew, f"row {r!r} out of range")
-            _expect(isinstance(c, int) and 0 <= c < cols_n, ew, f"col {c!r} out of range")
-            _expect((r, c) not in seen, ew, f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            if domain == INTEGER:
-                _expect(isinstance(v, int), ew, f"integer layer value must be an int, got {v!r}")
-                _expect(v != 0, ew, "structural zero not allowed in integer layer")
-            else:
-                _expect(isinstance(v, (int, float)), ew, f"value must be a number, got {v!r}")
-            rr.append(r)
-            cc.append(c)
-            vv.append(v)
+        arrays = _entry_arrays(entries, rows_n, cols_n, domain)
+        if arrays is None:
+            _raise_first_bad_entry(entries, rows_n, cols_n, domain, where)
+        rows, cols, vals = arrays
         if domain == REAL:
-            _expect(all(isinstance(b, (int, float)) for b in bias), f"{where}.bias", "must be numbers")
+            _expect(set(map(type, bias)) <= _NUMBER_TYPES, f"{where}.bias", "must be numbers")
+            b = _finite_float_array(bias)
+            _expect(b is not None, f"{where}.bias", "must be finite float64 numbers")
             W = np.zeros((rows_n, cols_n))
-            if rr:
-                W[rr, cc] = vv
-            layers.append(ThresholdLayer.real(W, np.array(bias, dtype=np.float64)))
+            W[rows, cols] = vals
+            layers.append(ThresholdLayer.real(W, b))
         else:
-            _expect(all(isinstance(b, int) for b in bias), f"{where}.bias", "must be integers")
-            layers.append(
-                ThresholdLayer.integer_from_entries(rows_n, cols_n, rr, cc, vv, np.array(bias, dtype=np.int64))
-            )
+            _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
+            b = _int64_array(bias)
+            _expect(b is not None, f"{where}.bias", "integers must fit in int64")
+            layers.append(ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b))
     try:
         return ThresholdNetwork(layers, input_dim=doc["input_dim"])
     except ValueError as exc:

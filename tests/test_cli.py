@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -116,6 +117,19 @@ def test_lowerbound_and_separate_commands(tmp_path, capsys):
     payload = read_json(out_path)
     assert payload["total"] > 0
     assert 0 <= payload["separated"] <= payload["total"]
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("distance", "7b199fb94e1b7348612d5e443d8275c779fecebc3377c2c9aeaa4f9ea4157ef8"),
+    ("angular", "c0a72c427d2b7c63534776e0a3c201b24e86af81aa97335c0762b54d59b652d1"),
+])
+def test_generate_output_is_pinned(tmp_path, mode, digest):
+    # pinned from the allocate-per-candidate sampler: its scratch buffers
+    # must not change a bit of the output for a seed
+    path = tmp_path / "ds.csv"
+    assert run(["generate", "--n", 256, "--d", 16, "--delta", 0.1, "--seed", 5,
+                "--mode", mode, "--out", path]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_separate_rejects_bad_planes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -202,3 +203,191 @@ def test_deserialize_rejects_integer_layer_float_values():
     )
     with pytest.raises(SerializationError, match="must be an int"):
         deserialize(doc)
+
+
+# ---------------------------------------------------------------------------
+# JSON I/O against the entry-at-a-time reference implementation
+
+
+def reference_serialize(net):
+    """The original one-entry-at-a-time serializer: the byte-exact reference."""
+    doc = {"input_dim": net.input_dim, "layers": []}
+    for layer in net.layers:
+        if layer.domain == "real":
+            rows, cols = np.nonzero(layer.weights)
+            vals = [float(v) for v in layer.weights[rows, cols]]
+            bias = [float(b) for b in layer.biases]
+        else:
+            coo = layer.weights.tocoo()
+            order = np.lexsort((coo.col, coo.row))
+            rows, cols = coo.row[order], coo.col[order]
+            vals = [int(v) for v in coo.data[order]]
+            bias = [int(b) for b in layer.biases]
+        doc["layers"].append(
+            {
+                "domain": layer.domain,
+                "rows": int(layer.out_dim),
+                "cols": int(layer.in_dim),
+                "entries": [[int(r), int(c), v] for r, c, v in zip(rows, cols, vals)],
+                "bias": bias,
+            }
+        )
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def reference_entry_error(doc):
+    """The original per-entry validation loop, on a parsed document whose
+    layer headers are valid; returns the first error message or None."""
+    for li, entry in enumerate(doc["layers"]):
+        where = f"$.layers[{li}]"
+        domain, rows_n, cols_n = entry["domain"], entry["rows"], entry["cols"]
+        seen = set()
+        for ei, e in enumerate(entry["entries"]):
+            ew = f"{where}.entries[{ei}]"
+            if not (isinstance(e, list) and len(e) == 3):
+                return f"{ew}: must be [row, col, value]"
+            r, c, v = e
+            if not (isinstance(r, int) and 0 <= r < rows_n):
+                return f"{ew}: row {r!r} out of range"
+            if not (isinstance(c, int) and 0 <= c < cols_n):
+                return f"{ew}: col {c!r} out of range"
+            if (r, c) in seen:
+                return f"{ew}: duplicate entry at ({r}, {c})"
+            seen.add((r, c))
+            if domain == "integer":
+                if not isinstance(v, int):
+                    return f"{ew}: integer layer value must be an int, got {v!r}"
+                if v == 0:
+                    return f"{ew}: structural zero not allowed in integer layer"
+            elif not isinstance(v, (int, float)):
+                return f"{ew}: value must be a number, got {v!r}"
+    return None
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def networks(draw):
+    """Mixed real and integer layers; zeros are common, so layers with no
+    entries and single-row layers both occur."""
+    dims = [draw(st.integers(1, 5))]
+    depth = draw(st.integers(1, 4))
+    dims += [draw(st.integers(1, 5)) for _ in range(depth - 1)] + [1]
+    layers = []
+    for k in range(depth):
+        shape = (dims[k + 1], dims[k])
+        if draw(st.booleans()):
+            value = st.one_of(st.just(0.0), FINITE)
+            W = np.array(draw(st.lists(value, min_size=shape[0] * shape[1],
+                                       max_size=shape[0] * shape[1]))).reshape(shape)
+            b = draw(st.lists(FINITE, min_size=shape[0], max_size=shape[0]))
+            layers.append(ThresholdLayer.real(W, b))
+        else:
+            value = st.one_of(st.just(0), st.integers(-3, 3), INT64)
+            W = np.array(draw(st.lists(value, min_size=shape[0] * shape[1],
+                                       max_size=shape[0] * shape[1])),
+                         dtype=np.int64).reshape(shape)
+            b = draw(st.lists(INT64, min_size=shape[0], max_size=shape[0]))
+            layers.append(ThresholdLayer.integer(W, np.array(b, dtype=np.int64)))
+    return ThresholdNetwork(layers, input_dim=dims[0])
+
+
+@given(networks())
+@settings(max_examples=150, deadline=None)
+def test_serialize_matches_reference_and_round_trips(net):
+    blob = serialize(net)
+    assert blob == reference_serialize(net)
+    assert deserialize(blob) == net
+
+
+CORRUPTIONS = ("row_range", "col_range", "duplicate", "zero_value", "float_value",
+               "wrong_length", "non_int_row")
+
+
+def corrupt(doc, kind, data):
+    """Apply one corruption of `kind` to a random entry; False if the
+    document has no entry it applies to."""
+    integer_only = kind in ("zero_value", "float_value")
+    targets = [layer for layer in doc["layers"] if layer["entries"]
+               and (layer["domain"] == "integer" or not integer_only)]
+    if not targets:
+        return False
+    layer = data.draw(st.sampled_from(targets))
+    entries = layer["entries"]
+    whole = [k for k, e in enumerate(entries) if len(e) == 3]  # not already cut short
+    if not whole:
+        return False
+    k = data.draw(st.sampled_from(whole))
+    e = entries[k]
+    if kind == "row_range":
+        e[0] = data.draw(st.sampled_from([-1, layer["rows"], layer["rows"] + 7]))
+    elif kind == "col_range":
+        e[1] = data.draw(st.sampled_from([-1, layer["cols"]]))
+    elif kind == "duplicate":
+        entries.insert(data.draw(st.integers(k + 1, len(entries))), list(e))
+    elif kind == "zero_value":
+        e[2] = 0
+    elif kind == "float_value":
+        e[2] = data.draw(st.sampled_from([1.5, 2.0, -0.25]))
+    elif kind == "wrong_length":
+        if data.draw(st.booleans()):
+            e.append(0)
+        else:
+            e.pop()
+    else:
+        row = e[0] if type(e[0]) is int else 0  # an earlier corruption may have replaced it
+        e[0] = data.draw(st.sampled_from([float(row), str(row), None, [row]]))
+    return True
+
+
+@given(networks(), st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_deserialize_reports_the_reference_first_error(net, kinds, data):
+    doc = json.loads(serialize(net))
+    applied = [corrupt(doc, kind, data) for kind in kinds]
+    if not any(applied):
+        return
+    expected = reference_entry_error(doc)
+    assert expected is not None
+    with pytest.raises(SerializationError) as info:
+        deserialize(json.dumps(doc).encode())
+    assert str(info.value) == expected
+
+
+def _doc(domain, entries, bias, rows=1, cols=2):
+    return json.dumps({"input_dim": cols, "layers": [
+        {"domain": domain, "rows": rows, "cols": cols, "entries": entries, "bias": bias}]}).encode()
+
+
+@pytest.mark.parametrize("doc, where", [
+    (_doc("integer", [[0, 0, 1], [0, 1, 2**63]], [0]), r"\$\.layers\[0\]\.entries\[1\]: "),
+    (_doc("integer", [[0, 0, -(2**63) - 1]], [0]), r"\$\.layers\[0\]\.entries\[0\]: "),
+    (_doc("integer", [[0, 0, 1]], [2**63]), r"\$\.layers\[0\]\.bias: "),
+    (_doc("real", [[0, 0, 1.0], [0, 1, 10**400]], [0.0]), r"\$\.layers\[0\]\.entries\[1\]: "),
+    (_doc("real", [[0, 0, 1.0]], [10**400]), r"\$\.layers\[0\]\.bias: "),
+])
+def test_deserialize_rejects_numbers_past_range(doc, where):
+    # these used to escape as OverflowError
+    with pytest.raises(SerializationError, match=where):
+        deserialize(doc)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_deserialize_rejects_non_finite_real_values(token):
+    # Python's json parses these tokens; a NaN weight used to load silently
+    entry = b'{"input_dim": 2, "layers": [{"domain": "real", "rows": 1, "cols": 2,' \
+        b' "entries": [[0, 0, 0.5], [0, 1, %s]], "bias": [0.0]}]}' % token.encode()
+    with pytest.raises(SerializationError, match=r"\$\.layers\[0\]\.entries\[1\]: "):
+        deserialize(entry)
+    bias = b'{"input_dim": 2, "layers": [{"domain": "real", "rows": 1, "cols": 2,' \
+        b' "entries": [], "bias": [%s]}]}' % token.encode()
+    with pytest.raises(SerializationError, match=r"\$\.layers\[0\]\.bias: "):
+        deserialize(bias)
+
+
+def test_int64_extremes_round_trip():
+    layer = ThresholdLayer.integer(np.array([[2**63 - 1, -(2**63)]]), np.array([-(2**63)]))
+    net = ThresholdNetwork([layer], input_dim=2)
+    assert deserialize(serialize(net)) == net
