@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
     Dataset,
-    LabeledPoint,
     SeparationMode,
     SeparationVerdict,
     check_separation,
     generate_separated_dataset,
+    load_clustered_csv,
     load_dataset_csv,
     sample_sphere_uniform,
     save_dataset_csv,

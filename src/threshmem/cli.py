@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -29,14 +30,18 @@ EXIT_CONTRACT = 2
 EXIT_RETRY = 3
 EXIT_INVARIANT = 4
 
+#: The one map from library exceptions to exit codes. ValueError covers
+#: DatasetNotSeparatedError, SerializationError and json.JSONDecodeError.
+#: No class here subclasses another, and anything else propagates.
+EXIT_CODES = {
+    OSError: EXIT_IO,
+    ValueError: EXIT_CONTRACT,
+    geometry.InfeasibleGenerationError: EXIT_CONTRACT,
+    construct.ConstructionRetryError: EXIT_RETRY,
+    construct.MemorizationCheckError: EXIT_INVARIANT,
+}
+
 SEED_ENV_VAR = "THRESHMEM_SEED"
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str, **details):
-        super().__init__(message)
-        self.code = code
-        self.details = details
 
 
 def _default_seed() -> int:
@@ -46,32 +51,19 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(EXIT_CONTRACT, f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _mode(kind: str, delta: float) -> geometry.SeparationMode:
-    try:
-        if kind == "angular":
-            return geometry.SeparationMode.angular(delta)
-        return geometry.SeparationMode.distance(delta)
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
-
-
-def _load_dataset(path) -> geometry.Dataset:
-    try:
-        return geometry.load_dataset_csv(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read dataset {path}: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, f"bad dataset {path}: {exc}")
+    return geometry.SeparationMode(kind, float(delta))
 
 
 def _write_json(path, payload) -> None:
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 def _manifest_path(args, primary_out) -> Path:
@@ -109,17 +101,8 @@ def _info(message: str) -> None:
 
 def cmd_generate(args) -> int:
     started = time.monotonic()
-    mode = _mode(args.mode, args.delta)
-    try:
-        ds = geometry.generate_separated_dataset(args.n, args.d, mode, args.seed)
-    except geometry.InfeasibleGenerationError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
-    try:
-        geometry.save_dataset_csv(ds, args.out)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    ds = geometry.generate_separated_dataset(args.n, args.d, _mode(args.mode, args.delta), args.seed)
+    geometry.save_dataset_csv(ds, args.out)
     params = {"n": args.n, "d": args.d, "mode": args.mode, "delta": args.delta,
               "seed": args.seed}
     _emit_manifest(args, "generate", params, {"out": str(args.out)}, started)
@@ -140,28 +123,28 @@ def _build_params(args) -> dict:
     }
 
 
+def _replay_manifest(args) -> None:
+    """Fill args from a build manifest; its --out/--report yield to the flags."""
+    manifest = _read_json(args.from_manifest)
+    if not isinstance(manifest, dict) or manifest.get("command") != "build":
+        raise ValueError(f"{args.from_manifest}: manifest does not describe a build command")
+    params, artifacts = manifest.get("params"), manifest.get("artifacts")
+    if not (isinstance(params, dict) and isinstance(artifacts, dict)):
+        raise ValueError(f"{args.from_manifest}: manifest needs params and artifacts objects")
+    for key, value in params.items():
+        setattr(args, key, value)
+    args.out = args.out or artifacts.get("out")
+    args.report = args.report or artifacts.get("report")
+
+
 def cmd_build(args) -> int:
     started = time.monotonic()
     if args.from_manifest:
-        try:
-            manifest = json.loads(Path(args.from_manifest).read_text())
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot read manifest {args.from_manifest}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(EXIT_CONTRACT, f"bad manifest {args.from_manifest}: {exc}")
-        if manifest.get("command") != "build":
-            raise CliError(EXIT_CONTRACT, "manifest does not describe a build command")
-        params = manifest["params"]
-        for key, value in params.items():
-            setattr(args, key, value)
-        if args.out is None:
-            args.out = manifest["artifacts"]["out"]
-        if args.report is None:
-            args.report = manifest["artifacts"]["report"]
+        _replay_manifest(args)
     if args.out is None or args.report is None or args.dataset is None or args.delta is None:
-        raise CliError(EXIT_CONTRACT, "build requires --dataset, --delta, --out and --report")
+        raise ValueError("build requires --dataset, --delta, --out and --report")
 
-    ds = _load_dataset(args.dataset)
+    ds = geometry.load_dataset_csv(args.dataset)
     cfg = construct.ConstructionConfig(
         mode=_mode(args.mode, args.delta),
         eps1=args.eps1,
@@ -170,23 +153,8 @@ def cmd_build(args) -> int:
         max_retries=args.max_retries,
         c_dist=args.c_dist,
     )
-    try:
-        net, report = construct.construct_memorizer(ds, cfg)
-    except construct.DatasetNotSeparatedError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc),
-                       worst_pair=list(exc.verdict.worst_pair) if exc.verdict and exc.verdict.worst_pair else None,
-                       worst_value=exc.verdict.worst_value if exc.verdict else None)
-    except construct.ConstructionRetryError as exc:
-        raise CliError(EXIT_RETRY, str(exc),
-                       worst_pair=list(exc.worst_pair) if exc.worst_pair else None,
-                       worst_value=exc.worst_value)
-    except construct.MemorizationCheckError as exc:
-        raise CliError(EXIT_INVARIANT, str(exc))
-
-    try:
-        netcore.save_network(net, args.out)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    net, report = construct.construct_memorizer(ds, cfg)
+    netcore.save_network(net, args.out)
     _write_json(args.report, report.to_json_dict())
     _emit_manifest(args, "build", _build_params(args),
                    {"out": str(args.out), "report": str(args.report)}, started)
@@ -199,25 +167,16 @@ def cmd_build(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    try:
-        net = netcore.load_network(args.network)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read network {args.network}: {exc}")
-    except netcore.SerializationError as exc:
-        raise CliError(EXIT_CONTRACT, f"bad network {args.network}: {exc}")
-    ds = _load_dataset(args.dataset)
+    net = netcore.load_network(args.network)
+    ds = geometry.load_dataset_csv(args.dataset)
     if ds.dim != net.input_dim:
-        raise CliError(EXIT_CONTRACT,
-                       f"dataset dim {ds.dim} != network input dim {net.input_dim}")
+        raise ValueError(f"dataset dim {ds.dim} != network input dim {net.input_dim}")
     preds = netcore.forward_batch(net, ds.features)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "label", "prediction"])
-            for i in range(ds.n):
-                writer.writerow([i, int(ds.labels[i]), int(preds[i])])
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "label", "prediction"])
+        for i in range(ds.n):
+            writer.writerow([i, int(ds.labels[i]), int(preds[i])])
     correct = int((preds == ds.labels).sum())
     summary = {"n": ds.n, "correct": correct, "accuracy": correct / ds.n}
     _write_json(args.summary, summary)
@@ -230,31 +189,8 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     started = time.monotonic()
-    try:
-        net = netcore.load_network(args.network)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read network {args.network}: {exc}")
-    except netcore.SerializationError as exc:
-        raise CliError(EXIT_CONTRACT, f"bad network {args.network}: {exc}")
-    totals = netcore.audit(net)
-    payload = {
-        "neurons": totals.neurons,
-        "weight_entries": totals.weight_entries,
-        "bias_count": totals.bias_count,
-        "weights": totals.weights,
-        "max_abs_integer_weight": totals.max_abs_integer_weight,
-        "layers": [
-            {
-                "domain": la.domain,
-                "neurons": la.neurons,
-                "weight_entries": la.weight_entries,
-                "biases": la.biases,
-                "max_abs_integer_weight": la.max_abs_integer_weight,
-            }
-            for la in totals.layers
-        ],
-    }
-    _write_json(args.out, payload)
+    totals = netcore.audit(netcore.load_network(args.network))
+    _write_json(args.out, dataclasses.asdict(totals))
     _emit_manifest(args, "audit", {"network": str(args.network), "seed": None},
                    {"out": str(args.out)}, started)
     _info(f"{totals.neurons} neurons, {totals.weights} weights (incl. biases)")
@@ -263,44 +199,31 @@ def cmd_audit(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     started = time.monotonic()
-    try:
-        cds = lowerbound.build_cluster_dataset(args.n, args.d, args.delta, args.seed)
-    except (ValueError, geometry.InfeasibleGenerationError) as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
-    try:
-        lowerbound.save_clustered_csv(cds, args.out)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    cds = lowerbound.build_cluster_dataset(args.n, args.d, args.delta, args.seed)
+    lowerbound.save_clustered_csv(cds, args.out)
     params = {"n": args.n, "d": args.d, "delta": args.delta, "seed": args.seed}
     _emit_manifest(args, "lowerbound", params, {"out": str(args.out)}, started)
     _info(f"clustered dataset: {cds.num_clusters} clusters x {cds.num_clusters} points -> {args.out}")
     return EXIT_OK
 
 
+def _plane(entry, where: str) -> lowerbound.Hyperplane:
+    normal = entry.get("normal") if isinstance(entry, dict) else None
+    offset = entry.get("offset") if isinstance(entry, dict) else None
+    if not (isinstance(normal, list) and all(isinstance(v, (int, float)) for v in [*normal, offset])):
+        raise ValueError(f'{where}: expected {{"normal": [numbers], "offset": number}}')
+    return lowerbound.Hyperplane.from_general(normal, offset)
+
+
 def cmd_separate(args) -> int:
     started = time.monotonic()
-    try:
-        points, labels, _ = lowerbound.load_points_csv(args.points)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read points {args.points}: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
-    try:
-        raw = json.loads(Path(args.planes).read_text())
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read planes {args.planes}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_CONTRACT, f"bad planes file {args.planes}: {exc}")
+    ds, _ = geometry.load_clustered_csv(args.points)
+    raw = _read_json(args.planes)
     if not isinstance(raw, dict) or not isinstance(raw.get("planes"), list):
-        raise CliError(EXIT_CONTRACT, f'{args.planes}: expected {{"planes": [...]}}')
-    planes = []
-    for k, entry in enumerate(raw["planes"]):
-        try:
-            planes.append(lowerbound.Hyperplane.from_general(entry["normal"], entry["offset"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_CONTRACT, f"{args.planes}: plane {k}: {exc}")
+        raise ValueError(f'{args.planes}: expected {{"planes": [...]}}')
+    planes = [_plane(entry, f"{args.planes}: plane {k}") for k, entry in enumerate(raw["planes"])]
     mode = lowerbound.ALL_PAIRS if args.mode == "all" else lowerbound.OPPOSITE_LABEL_PAIRS
-    result = lowerbound.count_separated_pairs(points, labels, planes, mode)
+    result = lowerbound.count_separated_pairs(ds.features, ds.labels, planes, mode)
     payload = {
         "mode": args.mode,
         "separated": result.separated,
@@ -318,10 +241,7 @@ def cmd_separate(args) -> int:
 
 def cmd_bits(args) -> int:
     started = time.monotonic()
-    try:
-        query = capacity.CapacityQuery(args.n, args.d, args.delta)
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc))
+    query = capacity.CapacityQuery(args.n, args.d, args.delta)
     pb = capacity.packing_bounds(query.d, query.delta)
     lower = capacity.bits_lower_bound(query)
     upper = capacity.bits_upper_bound(query)
@@ -351,10 +271,10 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     deltas = args.deltas
     if not deltas:
-        raise CliError(EXIT_CONTRACT, "sweep needs a nonempty --deltas list")
+        raise ValueError("sweep needs a nonempty --deltas list")
     seeds = list(range(args.seeds)) if args.seed_list is None else args.seed_list
     if not seeds:
-        raise CliError(EXIT_CONTRACT, "sweep needs at least one seed")
+        raise ValueError("sweep needs at least one seed")
 
     rows = []
     widths = []
@@ -377,20 +297,20 @@ def cmd_sweep(args) -> int:
                     error="",
                 )
                 widths.append((delta, report.d1))
-            except Exception as exc:  # per-cell failure recorded, sweep continues
+            # a cell's bad input or exhausted retries is recorded and the
+            # sweep goes on; an invariant breach ends it
+            except (ValueError, geometry.InfeasibleGenerationError,
+                    construct.ConstructionRetryError) as exc:
                 row.update(first_layer_neurons="", total_neurons="",
                            total_weights="", retries="", error=str(exc))
             rows.append(row)
 
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "delta", "seed", "first_layer_neurons", "total_neurons",
-                "total_weights", "retries", "error"])
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}")
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[
+            "delta", "seed", "first_layer_neurons", "total_neurons",
+            "total_weights", "retries", "error"])
+        writer.writeheader()
+        writer.writerows(rows)
 
     slope = None
     distinct = sorted({d for d, _ in widths})
@@ -531,17 +451,17 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except CliError as exc:
-        payload = {"error": {"code": exc.code, "type": type(exc).__name__,
-                             "message": str(exc), **exc.details}}
-        print(json.dumps(payload, sort_keys=True))
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+        error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
+        # the closest pair of a failed separation check or retry budget
+        culprit = getattr(exc, "verdict", None) or exc
+        if hasattr(culprit, "worst_pair"):
+            error["worst_pair"] = list(culprit.worst_pair) if culprit.worst_pair else None
+            error["worst_value"] = culprit.worst_value
+        print(json.dumps({"error": error}, sort_keys=True))
         _info(f"error: {exc}")
-        return exc.code
-    except OSError as exc:
-        print(json.dumps({"error": {"code": EXIT_IO, "type": "OSError",
-                                    "message": str(exc)}}))
-        _info(f"I/O error: {exc}")
-        return EXIT_IO
+        return code
 
 
 if __name__ == "__main__":

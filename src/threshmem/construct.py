@@ -22,7 +22,7 @@ retry cap turns persistent failure into a loud error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -574,7 +574,6 @@ class ConstructionReport:
     total_weight_entries: int
     total_biases: int
     neuron_bound: int
-    compression_log_base: int = 2
 
     @property
     def total_weights(self) -> int:
@@ -594,21 +593,10 @@ class ConstructionReport:
             "max_retries": self.max_retries,
             "dims": {"d1": self.d1, "d2": self.d2, "d3": self.d3, "K": self.K,
                      "max_subset_size": self.max_subset_size},
-            "compression_log_base": self.compression_log_base,
             "xor_gadget_neurons": self.xor_gadget_neurons,
             "xor_padding_neurons": self.xor_padding_neurons,
             "retries": dict(self.retries),
-            "steps": [
-                {
-                    "step": s.step,
-                    "neurons": s.neurons,
-                    "weight_entries": s.weight_entries,
-                    "biases": s.biases,
-                    "max_abs_integer_weight": s.max_abs_integer_weight,
-                    "layer_span": list(s.layer_span),
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
             "totals": {
                 "neurons": self.total_neurons,
                 "weight_entries": self.total_weight_entries,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -72,14 +72,6 @@ class SeparationMode:
         return self.kind == ANGULAR
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A single feature vector with its binary label."""
-
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Immutable ordered collection of labeled points sharing one dimension."""
 
@@ -108,12 +100,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def point(self, i: int) -> LabeledPoint:
-        return LabeledPoint(self.features[i], int(self.labels[i]))
-
-    def points(self) -> list[LabeledPoint]:
-        return [self.point(i) for i in range(self.n)]
 
     def relabeled(self, labels) -> "Dataset":
         """Same points with a different labeling."""
@@ -213,13 +199,57 @@ def _sample_unit_ball(rng: np.random.Generator, d: int, count: int = 1) -> np.nd
     return directions * (radii / norms)[:, None]
 
 
+def sample_separated(propose: Callable[[], np.ndarray], count: int, d: int,
+                     min_sep: float, angular: bool, what: str) -> np.ndarray:
+    """Rejection-sample `count` points of R^d from `propose()`, pairwise separated.
+
+    A candidate closer than min_sep to any accepted point is rejected; the
+    separation is the angle between unit vectors when `angular`, else the
+    Euclidean distance. The budget is REJECTIONS_PER_POINT * count
+    rejections, after which InfeasibleGenerationError names `what`.
+    """
+    budget = REJECTIONS_PER_POINT * count
+    accepted = np.empty((count, d))
+    # distance scratch, allocated once: a fresh (placed, d) array per
+    # candidate is mapped and unmapped by malloc each time, and every
+    # candidate then pays page faults for it
+    diff = np.empty((count, d))
+    dist = np.empty(count)
+    placed = 0
+    rejections = 0
+    attempts = 0
+    while placed < count:
+        cand = propose()
+        attempts += 1
+        if placed > 0:
+            if angular:
+                cos = np.clip(accepted[:placed] @ cand, -1.0, 1.0)
+                ok = np.arccos(cos).min() >= min_sep
+            else:
+                # the arithmetic of np.linalg.norm(accepted[:placed] - cand, axis=1)
+                sq = np.subtract(accepted[:placed], cand, out=diff[:placed])
+                np.multiply(sq, sq, out=sq)
+                dc = np.add.reduce(sq, axis=1, out=dist[:placed])
+                ok = np.sqrt(dc, out=dc).min() >= min_sep
+            if not ok:
+                rejections += 1
+                if rejections > budget:
+                    raise InfeasibleGenerationError(
+                        f"gave up sampling {what} after {attempts} candidate draws "
+                        f"({rejections} rejections) while placing point {placed + 1} "
+                        f"of {count} at separation {min_sep:.4g} in d={d}"
+                    )
+                continue
+        accepted[placed] = cand
+        placed += 1
+    return accepted
+
+
 def generate_separated_dataset(n: int, d: int, mode: SeparationMode, seed) -> Dataset:
     """Rejection-sampled dataset guaranteed to pass check_separation at tol=0.
 
     Candidates are uniform in the unit ball (distance mode) or on the unit
-    sphere (angular mode); a candidate violating delta against any accepted
-    point is rejected. The budget is REJECTIONS_PER_POINT * n rejections,
-    after which the request is declared infeasible. Labels are drawn
+    sphere (angular mode) and go through sample_separated. Labels are drawn
     uniformly after all points are accepted, so the output is a pure
     function of (n, d, mode, seed).
     """
@@ -228,45 +258,14 @@ def generate_separated_dataset(n: int, d: int, mode: SeparationMode, seed) -> Da
     if mode.is_angular and d < 2:
         raise ValueError("angular mode needs d >= 2")
     rng = _as_rng(seed)
-    budget = REJECTIONS_PER_POINT * n
-    accepted = np.empty((n, d))
-    # distance-mode scratch, allocated once: a fresh (count, d) array per
-    # candidate is mapped and unmapped by malloc each time, and every
-    # candidate then pays page faults for it
-    diff = np.empty((n, d))
-    dist = np.empty(n)
-    count = 0
-    rejections = 0
-    attempts = 0
-    while count < n:
-        if mode.is_angular:
-            cand = sample_sphere_uniform(d, 1.0, 1, rng)[0]
-        else:
-            cand = _sample_unit_ball(rng, d)[0]
-        attempts += 1
-        if count > 0:
-            if mode.is_angular:
-                cos = np.clip(accepted[:count] @ cand, -1.0, 1.0)
-                ok = np.arccos(cos).min() >= mode.delta
-            else:
-                # the arithmetic of np.linalg.norm(accepted[:count] - cand, axis=1)
-                sq = np.subtract(accepted[:count], cand, out=diff[:count])
-                np.multiply(sq, sq, out=sq)
-                dc = np.add.reduce(sq, axis=1, out=dist[:count])
-                ok = np.sqrt(dc, out=dc).min() >= mode.delta
-            if not ok:
-                rejections += 1
-                if rejections > budget:
-                    raise InfeasibleGenerationError(
-                        f"gave up after {attempts} candidate draws "
-                        f"({rejections} rejections) while placing point "
-                        f"{count + 1} of {n} at delta={mode.delta} in d={d}"
-                    )
-                continue
-        accepted[count] = cand
-        count += 1
+    if mode.is_angular:
+        propose = lambda: sample_sphere_uniform(d, 1.0, 1, rng)[0]
+    else:
+        propose = lambda: _sample_unit_ball(rng, d)[0]
+    points = sample_separated(propose, n, d, mode.delta, mode.is_angular,
+                              f"{mode.kind}-separated points")
     labels = rng.integers(0, 2, size=n)
-    ds = Dataset(accepted, labels)
+    ds = Dataset(points, labels)
     verdict = check_separation(ds, mode, tol=0.0)
     if not verdict.holds:  # guards against metric mismatches between paths
         raise InfeasibleGenerationError(
@@ -283,36 +282,59 @@ def _as_rng(seed) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # CSV interchange: header `label,f1,...,fd`, one row per point, full-precision
-# decimal floats, row order preserved.
+# decimal floats, row order preserved. The clustered hard instances append an
+# integer `cluster` column.
 
 
-def save_dataset_csv(ds: Dataset, path) -> None:
+def save_dataset_csv(ds: Dataset, path, clusters=None) -> None:
+    """Write `ds`, with a trailing cluster column when `clusters` is given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(ds.dim)])
+        header = ["label"] + [f"f{j + 1}" for j in range(ds.dim)]
+        writer.writerow(header if clusters is None else header + ["cluster"])
         for i in range(ds.n):
-            writer.writerow([int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]])
+            row = [int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]]
+            writer.writerow(row if clusters is None else row + [int(clusters[i])])
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Read a dataset CSV; a trailing cluster column is refused."""
+    return _read_dataset_csv(path, cluster_ok=False)[0]
+
+
+def load_clustered_csv(path) -> tuple[Dataset, Optional[np.ndarray]]:
+    """Read a dataset CSV whose cluster column is optional.
+
+    Returns the dataset and its cluster ids, or None without the column.
+    """
+    return _read_dataset_csv(path, cluster_ok=True)
+
+
+def _read_dataset_csv(path, cluster_ok: bool):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty dataset file") from None
-        d = len(header) - 1
-        if d < 1 or header[0] != "label" or header[1:] != [f"f{j + 1}" for j in range(d)]:
-            raise ValueError(f"{path}: expected header label,f1,...,fd, got {header!r}")
+        has_cluster = cluster_ok and header[-1:] == ["cluster"]
+        d = len(header) - 1 - has_cluster
+        if d < 1 or header[0] != "label" or header[1:d + 1] != [f"f{j + 1}" for j in range(d)]:
+            expected = "label,f1,...,fd" + ("[,cluster]" if cluster_ok else "")
+            raise ValueError(f"{path}: expected header {expected}, got {header!r}")
         feats = []
         labels = []
+        clusters = []
         for row_no, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ValueError(f"{path}:{row_no}: expected {d + 1} fields, got {len(row)}")
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{row_no}: expected {len(header)} fields, got {len(row)}")
             if row[0] not in ("0", "1"):
                 raise ValueError(f"{path}:{row_no}: label must be 0 or 1, got {row[0]!r}")
             labels.append(int(row[0]))
-            feats.append([float(v) for v in row[1:]])
+            feats.append([float(v) for v in row[1:d + 1]])
+            if has_cluster:
+                clusters.append(int(row[-1]))
     if not feats:
         raise ValueError(f"{path}: dataset has no rows")
-    return Dataset(np.array(feats), np.array(labels))
+    ds = Dataset(np.array(feats), np.array(labels))
+    return ds, np.array(clusters, dtype=np.int64) if has_cluster else None

@@ -20,13 +20,17 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .construct import ConstructionConfig, build_first_layer
-from .geometry import Dataset, InfeasibleGenerationError, SeparationMode, _as_rng
+from .geometry import (
+    Dataset,
+    InfeasibleGenerationError,
+    SeparationMode,
+    _as_rng,
+    sample_separated,
+    save_dataset_csv,
+)
 
 ALL_PAIRS = "all"
 OPPOSITE_LABEL_PAIRS = "opposite"
-
-#: Rejection budget multiplier shared by the center and template samplers.
-REJECTIONS_PER_POINT = 1000
 
 #: Whole-build revalidation retries before giving up.
 MAX_BUILD_RETRIES = 20
@@ -107,31 +111,19 @@ def _tangent_basis(center: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
-def _reject_sample_sphere(rng, count, d, radius, min_dist, budget, what):
-    """Uniform points on a radius-r sphere kept pairwise min_dist apart."""
-    out = np.empty((count, d))
-    placed = 0
-    rejections = 0
-    attempts = 0
-    while placed < count:
-        v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            continue
-        cand = v * (radius / norm)
-        attempts += 1
-        if placed and np.linalg.norm(out[:placed] - cand, axis=1).min() < min_dist:
-            rejections += 1
-            if rejections > budget:
-                raise InfeasibleGenerationError(
-                    f"gave up sampling {what} after {attempts} candidate draws "
-                    f"({rejections} rejections): {count} points at spacing "
-                    f"{min_dist:.4g} on a radius-{radius:.4g} sphere in d={d}"
-                )
-            continue
-        out[placed] = cand
-        placed += 1
-    return out
+def _sphere_proposal(rng, d: int, radius: float):
+    """Draws of a uniform point on the radius-r sphere in R^d.
+
+    Normalizes one 1-D Gaussian at a time; sample_sphere_uniform's
+    row-wise norm rounds differently and would change every instance.
+    """
+    def propose():
+        while True:
+            v = rng.standard_normal(d)
+            norm = np.linalg.norm(v)
+            if norm != 0:
+                return v * (radius / norm)
+    return propose
 
 
 def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDataset:
@@ -151,17 +143,18 @@ def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDatase
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     rng = _as_rng(seed)
-    budget = REJECTIONS_PER_POINT * r
     sqrt_delta = math.sqrt(delta)
 
     for _ in range(MAX_BUILD_RETRIES):
-        centers = _reject_sample_sphere(
-            rng, r, d, math.sqrt(1.0 - delta), 3.0 * sqrt_delta, budget, "cluster centers"
+        centers = sample_separated(
+            _sphere_proposal(rng, d, math.sqrt(1.0 - delta)), r, d, 3.0 * sqrt_delta,
+            angular=False, what="cluster centers",
         )
         # template lives on the unit sphere of the (d-1)-dim tangent space;
         # scaling by sqrt(delta) turns spacing sqrt(delta) into delta
-        template = _reject_sample_sphere(
-            rng, r, d - 1, 1.0, sqrt_delta, budget, "template cluster"
+        template = sample_separated(
+            _sphere_proposal(rng, d - 1, 1.0), r, d - 1, sqrt_delta,
+            angular=False, what="template cluster",
         )
         points = np.empty((n, d))
         cluster_ids = np.empty(n, dtype=np.int64)
@@ -402,55 +395,8 @@ def first_layer_pressure_experiment(
 
 
 # ---------------------------------------------------------------------------
-# CSV with a trailing cluster column (otherwise the plain dataset format)
+# CSV: the dataset format with a trailing cluster column
 
 
 def save_clustered_csv(cds: ClusteredDataset, path) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(cds.dim)] + ["cluster"])
-        for i in range(cds.n):
-            writer.writerow(
-                [int(cds.labels[i])]
-                + [repr(float(v)) for v in cds.points[i]]
-                + [int(cds.cluster_ids[i])]
-            )
-
-
-def load_points_csv(path):
-    """Read a dataset CSV with or without the trailing cluster column.
-
-    Returns (points, labels, cluster_ids_or_None).
-    """
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        has_cluster = header[-1] == "cluster"
-        d = len(header) - 1 - (1 if has_cluster else 0)
-        expected = ["label"] + [f"f{j + 1}" for j in range(d)] + (["cluster"] if has_cluster else [])
-        if d < 1 or header != expected:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        feats, labels, clusters = [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{row_no}: expected {len(header)} fields")
-            labels.append(int(row[0]))
-            if has_cluster:
-                feats.append([float(v) for v in row[1:-1]])
-                clusters.append(int(row[-1]))
-            else:
-                feats.append([float(v) for v in row[1:]])
-    if not feats:
-        raise ValueError(f"{path}: no data rows")
-    return (
-        np.array(feats),
-        np.array(labels, dtype=np.int8),
-        np.array(clusters, dtype=np.int64) if has_cluster else None,
-    )
+    save_dataset_csv(cds.to_dataset(), path, clusters=cds.cluster_ids)

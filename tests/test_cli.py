@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from threshmem import construct
 from threshmem.cli import main
 from threshmem.geometry import Dataset, save_dataset_csv
 from threshmem.netcore import load_network
@@ -132,6 +133,29 @@ def test_generate_output_is_pinned(tmp_path, mode, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, d, delta, digest", [
+    (64, 8, 0.05, "a3e3b257cadb101d53153b4146d1d897df5bfc336a86f2f2240a824a0c4c18f5"),
+    (256, 16, 0.03, "ff97c2a9fbd9187dfe420f4ef68e6950ec09080aae6c4246eef472e47fd5eeaa"),
+])
+def test_lowerbound_output_is_pinned(tmp_path, n, d, delta, digest):
+    # pinned from lowerbound's own rejection loop and CSV writer, before
+    # both moved into geometry
+    path = tmp_path / "cds.csv"
+    assert run(["lowerbound", "--n", n, "--d", d, "--delta", delta, "--seed", 1,
+                "--out", path]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_separate_rejects_non_bit_label(tmp_path, capsys):
+    points = tmp_path / "pts.csv"
+    points.write_text("label,f1,f2,cluster\n0,0.1,0.2,0\n2,0.3,-0.1,0\n")
+    planes = tmp_path / "planes.json"
+    planes.write_text(json.dumps({"planes": [{"normal": [1.0, 0.0], "offset": 0.0}]}))
+    assert run(["separate", "--points", points, "--planes", planes,
+                "--out", tmp_path / "sep.json"]) == 2
+    assert "label must be 0 or 1" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 def test_separate_rejects_bad_planes(tmp_path, capsys):
     cds_path = tmp_path / "cds.csv"
     assert run(["lowerbound", "--n", 16, "--d", 5, "--delta", 0.05,
@@ -212,3 +236,34 @@ def test_seed_env_variable(tmp_path, monkeypatch):
     assert run(["generate", "--n", 8, "--d", 3, "--delta", 0.2, "--out", a]) == 0
     assert run(["generate", "--n", 8, "--d", 3, "--delta", 0.2, "--seed", 77, "--out", b]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("missing", ["params", "artifacts"])
+def test_build_from_incomplete_manifest_is_contract_error(tmp_path, small_dataset, missing):
+    net_path = tmp_path / "net.json"
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", net_path, "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    del doc[missing]
+    manifest.write_text(json.dumps(doc))
+    assert run(["build", "--from-manifest", manifest]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--eps1", 2), ("--max-retries", 0)])
+def test_build_rejects_bad_config(tmp_path, small_dataset, capsys, flag, value):
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, flag, value,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == 2
+
+
+def test_sweep_does_not_swallow_invariant_breach(tmp_path, monkeypatch, capsys):
+    def breach(ds, cfg):
+        raise construct.MemorizationCheckError("constructed network mislabels sample 0")
+
+    monkeypatch.setattr(construct, "construct_memorizer", breach)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n", 16, "--d", 5, "--deltas", "0.3", "--seeds", 1,
+                "--seed", 3, "--out", out, "--summary", tmp_path / "s.json"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == 4
+    assert not out.exists()

@@ -11,6 +11,7 @@ from threshmem.geometry import (
     ZeroNormError,
     check_separation,
     generate_separated_dataset,
+    load_clustered_csv,
     load_dataset_csv,
     sample_sphere_uniform,
     save_dataset_csv,
@@ -196,6 +197,22 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("x,f1\n0,0.5\n")
     with pytest.raises(ValueError, match="header"):
         load_dataset_csv(path)
+
+
+def test_csv_cluster_column(tmp_path):
+    ds = Dataset([[0.1, 0.2], [0.3, -0.1]], [0, 1])
+    path = tmp_path / "cds.csv"
+    save_dataset_csv(ds, path, clusters=[4, 7])
+    assert path.read_text().splitlines()[0] == "label,f1,f2,cluster"
+    back, clusters = load_clustered_csv(path)
+    assert np.array_equal(back.features, ds.features)
+    assert clusters.tolist() == [4, 7]
+    # build and eval read the plain format only
+    with pytest.raises(ValueError, match=r"expected header label,f1,\.\.\.,fd"):
+        load_dataset_csv(path)
+    path.write_text("label,f1,f2,cluster\n0,0.1,0.2,x\n")
+    with pytest.raises(ValueError):
+        load_clustered_csv(path)
 
 
 def test_dataset_immutable():

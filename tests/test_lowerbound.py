@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from threshmem.geometry import SeparationMode, check_separation
+from threshmem.geometry import SeparationMode, check_separation, load_clustered_csv
 from threshmem.lowerbound import (
     ALL_PAIRS,
     OPPOSITE_LABEL_PAIRS,
@@ -13,7 +13,6 @@ from threshmem.lowerbound import (
     build_cluster_dataset,
     count_separated_pairs,
     first_layer_pressure_experiment,
-    load_points_csv,
     min_hyperplanes_bruteforce,
     save_clustered_csv,
 )
@@ -252,9 +251,9 @@ def test_clustered_csv_round_trip(tmp_path):
     cds = build_cluster_dataset(9, 4, 0.05, seed=2)
     path = tmp_path / "cds.csv"
     save_clustered_csv(cds, path)
-    points, labels, clusters = load_points_csv(path)
-    assert np.array_equal(points, cds.points)
-    assert np.array_equal(labels, cds.labels)
+    ds, clusters = load_clustered_csv(path)
+    assert np.array_equal(ds.features, cds.points)
+    assert np.array_equal(ds.labels, cds.labels)
     assert np.array_equal(clusters, cds.cluster_ids)
 
 
@@ -264,6 +263,6 @@ def test_plain_csv_loads_without_cluster_column(tmp_path):
     ds = Dataset([[0.1, 0.2], [0.3, -0.1]], [0, 1])
     path = tmp_path / "plain.csv"
     save_dataset_csv(ds, path)
-    points, labels, clusters = load_points_csv(path)
+    back, clusters = load_clustered_csv(path)
     assert clusters is None
-    assert np.array_equal(points, ds.features)
+    assert np.array_equal(back.features, ds.features)
