@@ -110,17 +110,22 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+#: The parameters a build manifest records, with the JSON types a replay
+#: accepts for each: those its flag's type would parse.
+BUILD_PARAMS = {
+    "dataset": (str,),
+    "mode": (str,),
+    "delta": (int, float),
+    "seed": (int,),
+    "eps1": (int, float),
+    "eps2": (int, float),
+    "c_dist": (int, float),
+    "max_retries": (int,),
+}
+
+
 def _build_params(args) -> dict:
-    return {
-        "dataset": str(args.dataset),
-        "mode": args.mode,
-        "delta": args.delta,
-        "seed": args.seed,
-        "eps1": args.eps1,
-        "eps2": args.eps2,
-        "c_dist": args.c_dist,
-        "max_retries": args.max_retries,
-    }
+    return {key: getattr(args, key) for key in BUILD_PARAMS}
 
 
 def _replay_manifest(args) -> None:
@@ -132,6 +137,13 @@ def _replay_manifest(args) -> None:
     if not (isinstance(params, dict) and isinstance(artifacts, dict)):
         raise ValueError(f"{args.from_manifest}: manifest needs params and artifacts objects")
     for key, value in params.items():
+        if key not in BUILD_PARAMS:
+            raise ValueError(f"{args.from_manifest}: unknown build parameter {key!r}")
+        types = BUILD_PARAMS[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{args.from_manifest}: params.{key} must be {expected}, "
+                             f"got {value!r}")
         setattr(args, key, value)
     args.out = args.out or artifacts.get("out")
     args.report = args.report or artifacts.get("report")

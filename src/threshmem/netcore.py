@@ -3,8 +3,10 @@
 A network is a stack of affine layers followed by the Heaviside step
 sigma(z) = 1 iff z >= 0 (ties activate). The first layer may carry real
 weights; all other layers built by this package carry bounded integers
-stored sparsely, and their evaluation on {0,1} inputs is exact integer
-arithmetic with no rounding.
+stored sparsely. Their evaluation on {0,1} inputs is exact, with no
+rounding: bits are packed 64 samples to a uint64 word, rows with at most
+two inputs run as truth tables on whole words, and wider rows as exact
+integer sparse products.
 """
 
 from __future__ import annotations
@@ -28,9 +30,14 @@ INTEGER = "integer"
 #: fragile tie and triggers ThresholdTieWarning during evaluation.
 TIE_TOLERANCE = 1e-12
 
-#: Batch evaluation processes inputs in column blocks of this size; the
-#: block size is fixed so that results never depend on caller batching.
+#: Real layers evaluate inputs in column blocks of this size; the block
+#: size is fixed so that results never depend on caller batching.
 EVAL_CHUNK = 256
+
+#: Integer layers evaluate this many samples at a time, packed 64 to a
+#: word, so their memory does not grow with the batch. A multiple of
+#: EVAL_CHUNK, so real-layer blocks start where they would without it.
+PACK_BLOCK = 1024
 
 
 class ThresholdTieWarning(UserWarning):
@@ -99,20 +106,10 @@ class ThresholdLayer:
     def is_integer(self) -> bool:
         return self.domain == INTEGER
 
-    def _eval_arrays(self):
-        """(weights, -biases) in the narrowest exact dtype for evaluation.
-
-        On {0,1} inputs the pre-activation of a row is bounded by the sum
-        of its absolute weights, so int32 is exact whenever that bound plus
-        the bias stays below 2^31; otherwise the original int64 is used.
-        The fastest representation is derived once and cached.
-        """
+    def _packed_plan(self) -> "_PackedPlan":
+        """How this integer layer runs on packed bits; derived once and cached."""
         if self._eval_cache is None:
-            row_bound = np.abs(self.weights).sum(axis=1) + np.abs(self.biases)
-            if row_bound.size == 0 or row_bound.max() < np.iinfo(np.int32).max:
-                self._eval_cache = (self.weights.astype(np.int32), (-self.biases).astype(np.int32))
-            else:
-                self._eval_cache = (self.weights, -self.biases)
+            self._eval_cache = _PackedPlan(self.weights, self.biases)
         return self._eval_cache
 
     @classmethod
@@ -199,8 +196,116 @@ class ThresholdNetwork:
         )
 
 
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _word_masks(flags: np.ndarray) -> np.ndarray:
+    """One (rows, 1) uint64 column: all ones where a flag is set, else zero."""
+    return np.where(flags, _ALL_ONES, np.uint64(0))[:, None]
+
+
+class _PackedPlan:
+    """An integer layer split for evaluation on packed {0,1} inputs.
+
+    A row with at most two nonzero weights computes a Boolean function of
+    at most two input bits A and B. Its truth table, read off its weights
+    wa, wb and bias c, is kept in algebraic normal form,
+
+        out = c0 ^ (ca & A) ^ (cb & B) ^ (cab & A & B),
+
+    as four word masks per row, so 64 samples cost one word operation each.
+    A fan-in-1 row takes B = A with wb = 0; a fan-in-0 row is the constant
+    c0. The entries are int64, so a table is exact while |wa| + |wb| + |c|
+    fits in int64, as the matmul accumulator needs too.
+
+    Wider rows (selectors, memorization bank, output OR) multiply their
+    unpacked input. On {0,1} inputs a row's pre-activation is bounded by
+    the sum of its absolute weights, so int32 is exact whenever that bound
+    plus the bias stays below 2^31; otherwise int64 is used.
+    """
+
+    def __init__(self, W, biases: np.ndarray):
+        fan_in = np.diff(W.indptr)
+        pair = fan_in <= 2
+        self.pair_rows = np.flatnonzero(pair)
+        self.wide_rows = np.flatnonzero(~pair)
+
+        first = W.indptr[:-1][pair]
+        has_a, has_b = fan_in[pair] >= 1, fan_in[pair] == 2
+        # two trailing zeros keep first + 1 in range for every row
+        cols, vals = np.append(W.indices, [0, 0]), np.append(W.data, [0, 0])
+        self.a = np.where(has_a, cols[first], 0)
+        self.b = np.where(has_b, cols[first + 1], self.a)
+        wa = np.where(has_a, vals[first], 0)
+        wb = np.where(has_b, vals[first + 1], 0)
+        c = biases[pair]
+        f00, f10, f01, f11 = c >= 0, wa + c >= 0, wb + c >= 0, wa + wb + c >= 0
+        self.c0 = _word_masks(f00)
+        self.ca = _word_masks(f00 ^ f10)
+        self.cb = _word_masks(f00 ^ f01)
+        self.cab = _word_masks(f00 ^ f10 ^ f01 ^ f11)
+
+        wide = W[self.wide_rows]
+        neg_bias = -biases[self.wide_rows]
+        row_bound = np.abs(wide).sum(axis=1) + np.abs(neg_bias)
+        if row_bound.size == 0 or row_bound.max() < np.iinfo(np.int32).max:
+            wide, neg_bias = wide.astype(np.int32), neg_bias.astype(np.int32)
+        self.wide = wide
+        self.wide_neg_bias = neg_bias[:, None]
+
+    def apply(self, P: np.ndarray) -> np.ndarray:
+        """(in_dim, words) packed input bits -> (out_dim, words) packed output bits."""
+        if not P.shape[0]:  # no inputs: every row is a constant
+            P = np.zeros((1, P.shape[1]), dtype=np.uint64)
+        A, B = P[self.a], P[self.b]
+        AB = A & B
+        AB &= self.cab
+        A &= self.ca
+        B &= self.cb
+        A ^= B
+        A ^= AB
+        A ^= self.c0
+        if not self.wide_rows.size:
+            return A
+        out = np.empty((self.pair_rows.size + self.wide_rows.size, P.shape[1]), dtype=np.uint64)
+        out[self.pair_rows] = A
+        out[self.wide_rows] = self._apply_wide(P)
+        return out
+
+    def _apply_wide(self, P: np.ndarray) -> np.ndarray:
+        # after the expansion layer one chunk of K is live per sample, so the
+        # input is sparse: its set bits are read from the nonzero words only
+        # and enter the product as a sparse matrix
+        r, w = np.nonzero(P)
+        at = np.flatnonzero(np.unpackbits(P[r, w].view(np.uint8), bitorder="little"))
+        rows = r[at >> 6]
+        cols = (w[at >> 6] << 6) | (at & 63)
+        indptr = np.zeros(P.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=P.shape[0]), out=indptr[1:])
+        X = sparse.csr_array((np.ones(rows.size, dtype=self.wide.dtype), cols, indptr),
+                             shape=(P.shape[0], P.shape[1] * 64))
+        return _pack((self.wide @ X).toarray() >= self.wide_neg_bias)
+
+
+def _pack(Z: np.ndarray) -> np.ndarray:
+    """(rows, B) bits -> (rows, ceil(B / 64)) uint64, sample k at bit k % 64
+    of word k // 64; the padding bits are zero."""
+    rows, B = Z.shape
+    packed = np.zeros((rows, -(-B // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-B // 8)] = np.packbits(Z, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _unpack(P: np.ndarray, B: int) -> np.ndarray:
+    """The first B samples of packed bits as a (rows, B) bool array."""
+    return np.unpackbits(P.view(np.uint8), axis=1, count=B, bitorder="little").view(bool)
+
+
 def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
-    """One layer on a (in_dim, B) block; returns (out_dim, B) bits as bool."""
+    """One layer on an (in_dim, B) block of unpacked values; (out_dim, B) bool.
+
+    Real layers run here, and an integer layer whose input is not all bits.
+    """
     if layer.domain == REAL:
         P = layer.weights @ Z.astype(np.float64, copy=False)
         P += layer.biases[:, None]
@@ -209,33 +314,57 @@ def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
                 "real-layer pre-activation within tie tolerance of zero; "
                 "the resulting bit is numerically fragile",
                 ThresholdTieWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return P >= 0
-    W, neg_bias = layer._eval_arrays()
-    P = W @ Z.astype(W.dtype, copy=False)
-    return P >= neg_bias[:, None]
+    return layer.weights @ Z.astype(np.int64, copy=False) >= -layer.biases[:, None]
 
 
-def evaluate_layers(layers: Sequence[ThresholdLayer], xs, chunk: int = EVAL_CHUNK) -> np.ndarray:
+def _apply_chunked(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
+    """_apply_layer on each EVAL_CHUNK columns of Z in turn."""
+    out = np.empty((layer.out_dim, Z.shape[1]), dtype=bool)
+    for c in range(0, Z.shape[1], EVAL_CHUNK):
+        out[:, c : c + EVAL_CHUNK] = _apply_layer(
+            layer, np.ascontiguousarray(Z[:, c : c + EVAL_CHUNK]))
+    return out
+
+
+def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
     """Bits produced by a layer stack on a batch of inputs.
 
     xs has shape (N, in_dim); the result has shape (N, out_dim) with int8
-    entries in {0, 1}. Inputs are processed in fixed-size column blocks so
-    the output is identical however the caller splits the batch.
+    entries in {0, 1}. Real layers see fixed EVAL_CHUNK-column blocks, so
+    the output is identical however the caller splits the batch. Integer
+    layers on {0,1} inputs run on bits packed 64 samples to a word,
+    PACK_BLOCK samples at a time. Raises ValueError on NaN or infinite
+    inputs, which no threshold compares meaningfully.
     """
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != layers[0].in_dim:
         raise ValueError(
             f"batch shape {X.shape} incompatible with layer input dim {layers[0].in_dim}"
         )
-    out_blocks = []
-    for start in range(0, X.shape[0], chunk):
-        Z = np.ascontiguousarray(X[start : start + chunk].T)
+    if X.dtype.kind in "fc" and not np.isfinite(X).all():
+        raise ValueError("batch contains NaN or infinite inputs")
+    input_bits = layers[0].is_integer and bool(((X == 0) | (X == 1)).all())
+    out = np.empty((X.shape[0], layers[-1].out_dim), dtype=np.int8)
+    for start in range(0, X.shape[0], PACK_BLOCK):
+        Z = X[start : start + PACK_BLOCK].T
+        B = Z.shape[1]
+        P = None  # Z's bits, packed, once an integer layer has run on them
+        bits = input_bits
         for layer in layers:
-            Z = _apply_layer(layer, Z)
-        out_blocks.append(Z.T.astype(np.int8))
-    return np.concatenate(out_blocks, axis=0)
+            if layer.is_integer and bits:
+                if P is None:
+                    P = _pack(Z.astype(bool, copy=False))
+                P = layer._packed_plan().apply(P)
+            else:
+                if P is not None:
+                    Z, P = _unpack(P, B), None
+                Z = _apply_chunked(layer, Z)
+            bits = True
+        out[start : start + B] = (Z if P is None else _unpack(P, B)).T
+    return out
 
 
 def forward(net: ThresholdNetwork, x) -> int:

@@ -267,3 +267,30 @@ def test_sweep_does_not_swallow_invariant_breach(tmp_path, monkeypatch, capsys):
                 "--seed", 3, "--out", out, "--summary", tmp_path / "s.json"]) == 4
     assert json.loads(capsys.readouterr().out)["error"]["code"] == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("eps1", "abc"), ("seed", "x"), ("max_retries", 2.5),
+                                        ("delta", True), ("dataset", None)])
+def test_build_from_manifest_rejects_wrongly_typed_param(tmp_path, small_dataset, capsys,
+                                                          key, value):
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    doc["params"][key] = value
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["build", "--from-manifest", manifest]) == 2
+    assert f"params.{key} must be" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+def test_build_from_manifest_rejects_unknown_param(tmp_path, small_dataset, capsys):
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    doc["params"]["func"] = "cmd_audit"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["build", "--from-manifest", manifest]) == 2
+    assert "unknown build parameter 'func'" in json.loads(capsys.readouterr().out)["error"]["message"]

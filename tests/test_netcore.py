@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from threshmem.construct import ConstructionConfig, construct_memorizer
+from threshmem.geometry import SeparationMode, generate_separated_dataset
 from threshmem.netcore import (
+    EVAL_CHUNK,
+    PACK_BLOCK,
     SerializationError,
     ThresholdLayer,
     ThresholdNetwork,
@@ -391,3 +395,139 @@ def test_int64_extremes_round_trip():
     layer = ThresholdLayer.integer(np.array([[2**63 - 1, -(2**63)]]), np.array([-(2**63)]))
     net = ThresholdNetwork([layer], input_dim=2)
     assert deserialize(serialize(net)) == net
+
+
+# ---------------------------------------------------------------------------
+# Evaluation against the per-chunk matmul reference
+
+
+def _reference_apply(layer, Z):
+    if layer.domain == "real":
+        P = layer.weights @ Z.astype(np.float64, copy=False)
+        P += layer.biases[:, None]
+        return P >= 0
+    row_bound = np.abs(layer.weights).sum(axis=1) + np.abs(layer.biases)
+    if row_bound.size == 0 or row_bound.max() < np.iinfo(np.int32).max:
+        W, neg_bias = layer.weights.astype(np.int32), (-layer.biases).astype(np.int32)
+    else:
+        W, neg_bias = layer.weights, -layer.biases
+    return W @ Z.astype(W.dtype, copy=False) >= neg_bias[:, None]
+
+
+def reference_evaluate(layers, xs):
+    """The original evaluator: every layer a matmul over EVAL_CHUNK columns,
+    integer layers in int32 unless a row bound reaches 2^31. The bit-exact
+    reference for the packed evaluator."""
+    X = np.asarray(xs)
+    out_blocks = []
+    for start in range(0, X.shape[0], EVAL_CHUNK):
+        Z = np.ascontiguousarray(X[start : start + EVAL_CHUNK].T)
+        for layer in layers:
+            Z = _reference_apply(layer, Z)
+        out_blocks.append(Z.T.astype(np.int8))
+    return np.concatenate(out_blocks, axis=0)
+
+
+SMALL_WEIGHT = st.integers(-3, 3).filter(bool)
+#: weights whose row bound passes 2^31, so the matmul reference takes int64,
+#: while every sum of a few of them still fits in int64
+BIG_WEIGHT = st.integers(2**31, 2**40) | st.integers(-(2**40), -(2**31))
+
+
+@st.composite
+def integer_rows(draw, in_dim, weight):
+    """(cols, weights, bias) of one row: fan-in 0, 1 or 2 with any signs, or
+    wide. The bias ranges over every threshold the weights can meet."""
+    fan_in = draw(st.sampled_from([0, 1, 2, 2, 3, in_dim]))
+    fan_in = min(fan_in, in_dim)
+    cols = draw(st.lists(st.integers(0, in_dim - 1), min_size=fan_in, max_size=fan_in,
+                         unique=True))
+    weights = [draw(weight) for _ in cols]
+    reach = sum(abs(w) for w in weights) + 1
+    bias = draw(st.integers(-reach, reach) | st.sampled_from(
+        [-sum(w for w in weights if w > 0), -sum(w for w in weights if w < 0) - 1]))
+    return cols, weights, bias
+
+
+@st.composite
+def integer_stacks(draw):
+    """Integer layers, optionally behind a real first layer or with a real
+    layer in between, and a batch of inputs for them."""
+    big = draw(st.booleans())
+    weight = SMALL_WEIGHT | BIG_WEIGHT if big else SMALL_WEIGHT
+    real_first = draw(st.booleans())
+    dims = [draw(st.integers(1, 6))]
+    layers = []
+    if real_first:
+        dims.append(draw(st.integers(1, 8)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layers.append(ThresholdLayer.real(rng.standard_normal((dims[1], dims[0])),
+                                          rng.standard_normal(dims[1])))
+    for k in range(draw(st.integers(1, 4))):
+        in_dim = dims[-1]
+        out_dim = draw(st.integers(1, 10))
+        if k and draw(st.integers(0, 9)) == 0:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            layers.append(ThresholdLayer.real(rng.integers(-2, 3, (out_dim, in_dim)),
+                                              rng.integers(-2, 3, out_dim) - 0.5))
+        else:
+            rows = [draw(integer_rows(in_dim, weight)) for _ in range(out_dim)]
+            r = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
+            c = [col for cols, _, _ in rows for col in cols]
+            v = [w for _, ws, _ in rows for w in ws]
+            b = np.array([bias for _, _, bias in rows], dtype=np.int64)
+            layers.append(ThresholdLayer.integer_from_entries(out_dim, in_dim, r, c, v, b))
+        dims.append(out_dim)
+    n = draw(st.sampled_from([1, 63, 64, 65, 255, 256, 257,
+                              PACK_BLOCK - 1, PACK_BLOCK, PACK_BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if real_first:
+        X = rng.standard_normal((n, dims[0]))
+    elif not big and draw(st.booleans()):
+        X = rng.integers(-2, 3, (n, dims[0]))  # not bits: the first layer multiplies
+    else:
+        X = rng.integers(0, 2, (n, dims[0])).astype(draw(st.sampled_from([np.int8, float, bool])))
+    return layers, X
+
+
+@given(integer_stacks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_layers_matches_reference(stack, data):
+    layers, X = stack
+    got = evaluate_layers(layers, X)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, reference_evaluate(layers, X))
+    # the same batch split anywhere, a packing block boundary included
+    cut = data.draw(st.sampled_from(sorted({0, 1, len(X) // 2, min(64, len(X)),
+                                            min(PACK_BLOCK - 1, len(X)), len(X)})))
+    split = np.concatenate([evaluate_layers(layers, X[:cut]), evaluate_layers(layers, X[cut:])])
+    assert np.array_equal(split, got)
+
+
+@pytest.mark.parametrize("mode", [SeparationMode.distance(0.3), SeparationMode.angular(0.4)])
+def test_built_network_matches_reference(mode):
+    ds = generate_separated_dataset(PACK_BLOCK + 77, 12, mode, seed=3)
+    net, report = construct_memorizer(ds, ConstructionConfig(mode=mode, seed=5))
+    assert np.array_equal(evaluate_layers(net.layers, ds.features),
+                          reference_evaluate(net.layers, ds.features))
+    # an integer-only slice on int8 bits, as a per-layer profile calls it
+    codes = evaluate_layers(net.layers[:1], ds.features)
+    assert np.array_equal(evaluate_layers(net.layers[1:], codes),
+                          reference_evaluate(net.layers[1:], codes))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    net = single_layer_net([[1.0, 1.0]], [0.0])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        forward(net, [bad, 0.0])
+    xs = np.zeros((300, 2))
+    xs[299, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        forward_batch(net, xs)
+
+
+def test_empty_batch_gives_empty_result():
+    net = xor_gadget_net()
+    assert forward_batch(net, np.zeros((0, 2))).shape == (0,)
+    assert evaluate_layers(net.layers[:1], np.zeros((0, 2))).shape == (0, 2)
