@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .construct import ConstructionConfig, build_first_layer
 from .geometry import (
@@ -25,6 +24,7 @@ from .geometry import (
     InfeasibleGenerationError,
     SeparationMode,
     _as_rng,
+    _closest_pair,
     sample_separated,
     save_dataset_csv,
 )
@@ -163,7 +163,7 @@ def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDatase
             block = slice(ci * r, (ci + 1) * r)
             points[block] = centers[ci] + sqrt_delta * (template @ basis.T)
             cluster_ids[block] = ci
-        if pdist(points).min() >= delta:
+        if _closest_pair(points, angular=False)[1] >= delta:
             break
     else:
         raise InfeasibleGenerationError(

@@ -40,6 +40,9 @@ EVAL_CHUNK = 256
 PACK_BLOCK = 1024
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 class ThresholdTieWarning(UserWarning):
     """A real layer produced a pre-activation within TIE_TOLERANCE of zero."""
 
@@ -89,6 +92,8 @@ class ThresholdLayer:
             raise ValueError(
                 f"bias length {biases.shape} does not match weight rows {weights.shape}"
             )
+        if domain == INTEGER:
+            _check_row_bounds(weights, biases)
         self.weights = weights
         self.biases = biases
         self.domain = domain
@@ -164,6 +169,29 @@ class ThresholdLayer:
         )
 
 
+def _check_row_bounds(W, biases: np.ndarray) -> None:
+    """Refuse an integer layer with a row whose sum of |weights| + |bias|
+    passes int64: the evaluator's truth tables and int64 products are
+    exact only within that bound, and wrap silently past it.
+
+    A float64 sum accepts every row below 2^62 at once; its rounding is far
+    smaller than the margin to 2^63. Rows above that are summed again in
+    Python ints, which are exact where np.abs(-2**63) wraps.
+    """
+    row_of = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    approx = np.abs(biases.astype(np.float64))
+    approx += np.bincount(row_of, weights=np.abs(W.data.astype(np.float64)),
+                          minlength=W.shape[0])
+    for r in np.flatnonzero(approx >= 2.0**62).tolist():
+        lo, hi = W.indptr[r], W.indptr[r + 1]
+        bound = sum(abs(v) for v in W.data[lo:hi].tolist()) + abs(int(biases[r]))
+        if bound > _INT64_MAX:
+            raise ValueError(
+                f"integer layer row {r}: sum of |weights| + |bias| is {bound}, "
+                f"past the int64 maximum {_INT64_MAX}"
+            )
+
+
 class ThresholdNetwork:
     """Composed threshold layers mapping R^input_dim to one output bit."""
 
@@ -216,7 +244,8 @@ class _PackedPlan:
     as four word masks per row, so 64 samples cost one word operation each.
     A fan-in-1 row takes B = A with wb = 0; a fan-in-0 row is the constant
     c0. The entries are int64, so a table is exact while |wa| + |wb| + |c|
-    fits in int64, as the matmul accumulator needs too.
+    fits in int64, as the matmul accumulator needs too; ThresholdLayer
+    refuses any row past that bound.
 
     Wider rows (selectors, memorization bank, output OR) multiply their
     unpacked input. On {0,1} inputs a row's pre-activation is bounded by
@@ -502,7 +531,6 @@ def _expect(cond: bool, where: str, what: str):
         raise SerializationError(f"{where}: {what}")
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 #: JSON numbers parse to these types; bool counts as an int, as in isinstance
 _INT_TYPES = {int, bool}
 _NUMBER_TYPES = {int, float, bool}
@@ -621,6 +649,11 @@ def deserialize(data: bytes) -> ThresholdNetwork:
         for key, size in (("rows", rows_n), ("cols", cols_n)):
             _expect(isinstance(size, int) and 1 <= size <= _INT64_MAX, f"{where}.{key}",
                     "must be a positive integer that fits in int64")
+        # a real layer is stored densely; a document that declares one larger
+        # than itself cannot hold its weights, and would only exhaust memory
+        _expect(domain == INTEGER or rows_n * cols_n <= len(data), where,
+                f"a real layer of {rows_n} x {cols_n} weights does not fit "
+                f"in a {len(data)}-byte document")
         bias = entry.get("bias")
         _expect(isinstance(bias, list) and len(bias) == rows_n, f"{where}.bias", f"must be a list of length {rows_n}")
         entries = entry.get("entries")
@@ -640,7 +673,10 @@ def deserialize(data: bytes) -> ThresholdNetwork:
             _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
             b = _int64_array(bias)
             _expect(b is not None, f"{where}.bias", "integers must fit in int64")
-            layers.append(ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b))
+            try:
+                layers.append(ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b))
+            except ValueError as exc:
+                raise SerializationError(f"{where}: {exc}") from exc
     try:
         return ThresholdNetwork(layers, input_dim=doc["input_dim"])
     except ValueError as exc:

@@ -86,6 +86,22 @@ def test_audit_command(tmp_path, small_dataset):
     assert payload["weights"] == report["totals"]["weights"]
 
 
+@pytest.mark.parametrize("layer", [
+    # a row whose sum |w| + |b| passes int64 used to evaluate to wrong bits
+    {"domain": "integer", "rows": 1, "cols": 3, "bias": [-1],
+     "entries": [[0, 0, 2**62], [0, 1, 2**62], [0, 2, 1]]},
+    # a dense real layer far larger than its document
+    {"domain": "real", "rows": 1, "cols": 3 * 10**8, "bias": [0.0], "entries": []},
+])
+def test_audit_refuses_unsafe_layer(tmp_path, capsys, layer):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({"input_dim": layer["cols"], "layers": [layer]}))
+    assert run(["audit", "--network", net_path, "--out", tmp_path / "a.json"]) == 2
+    error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert error["type"] == "SerializationError"
+    assert error["message"].startswith("$.layers[0]: ")
+
+
 def test_bits_command(capsys):
     assert run(["bits", "--n", 1000, "--d", 32, "--delta", 0.05]) == 0
     payload = json.loads(capsys.readouterr().out)

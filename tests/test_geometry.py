@@ -1,13 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 from scipy.stats import special_ortho_group
 
+from threshmem import geometry
 from threshmem.geometry import (
+    DEFAULT_TOL,
     Dataset,
     InfeasibleGenerationError,
     SeparationMode,
+    SeparationVerdict,
     ZeroNormError,
     check_separation,
     generate_separated_dataset,
@@ -219,3 +226,118 @@ def test_dataset_immutable():
     ds = Dataset([[0.1, 0.2]], [1])
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked scan against the whole-matrix check it replaced
+
+
+def _condensed_to_pair(k, n):
+    i = int(n - 2 - math.floor(math.sqrt(-8 * k + 4 * n * (n - 1) - 7) / 2.0 - 0.5))
+    j = int(k + i + 1 - n * (n - 1) // 2 + (n - i) * ((n - i) - 1) // 2)
+    return i, j
+
+
+def reference_check_separation(ds, mode, tol=DEFAULT_TOL):
+    """The check before the blocked scan: a full n x n Gram matrix (angular)
+    or pdist's condensed distances (distance), O(n^2) memory."""
+    X = ds.features
+    n = ds.n
+    if mode.is_angular:
+        norms = np.linalg.norm(X, axis=1)
+        if np.any(norms == 0):
+            raise ZeroNormError("angular separation undefined for zero-norm vectors")
+        if n == 1:
+            return SeparationVerdict(True, None, math.inf)
+        U = X / norms[:, None]
+        gram = np.clip(U @ U.T, -1.0, 1.0)
+        iu = np.triu_indices(n, k=1)
+        cosines = gram[iu]
+        k = int(np.argmax(cosines))
+        worst = float(np.arccos(cosines[k]))
+        pair = (int(iu[0][k]), int(iu[1][k]))
+        return SeparationVerdict(worst >= mode.delta - tol, pair, worst)
+    norms = np.linalg.norm(X, axis=1)
+    max_norm = float(norms.max())
+    norm_ok = max_norm <= 1.0 + tol
+    if n == 1:
+        return SeparationVerdict(norm_ok, None, math.inf, max_norm)
+    dists = pdist(X)
+    k = int(np.argmin(dists))
+    worst = float(dists[k])
+    pair = _condensed_to_pair(k, n)
+    holds = norm_ok and worst >= mode.delta - tol
+    return SeparationVerdict(holds, pair, worst, max_norm)
+
+
+#: The scan's block products (BLAS gemm) and the reference's Gram matrix
+#: (syrk) may round a cosine differently. A cosine of unit vectors sums
+#: products of total magnitude at most 1, so 4 ulp of 1.0 bounds the gap.
+COSINE_TOL = 4 * np.spacing(1.0)
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets with ties: a coarse grid makes many pairs equally
+    far apart, and copied rows make exact duplicates."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    coord = st.floats(-0.6, 0.6, allow_nan=False, allow_subnormal=False)
+    X = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        X = np.round(X, 1)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        X[dst] = X[src]
+    return X
+
+
+@given(point_sets(), st.sampled_from([0.05, 0.3, 1.0]),
+       st.sampled_from([1, 2, 3, 5, 8, 64, geometry.SCAN_BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_blocked_scan_matches_whole_matrix_check(X, delta, block):
+    ds = Dataset(X, np.zeros(len(X)))
+    with pytest.MonkeyPatch.context() as mp:
+        # tiny blocks put pairs across block boundaries
+        mp.setattr(geometry, "SCAN_BLOCK", block)
+        dist = check_separation(ds, SeparationMode.distance(delta))
+        assert dist == reference_check_separation(ds, SeparationMode.distance(delta))
+
+        mode = SeparationMode.angular(delta)
+        if np.any(np.linalg.norm(X, axis=1) == 0):
+            with pytest.raises(ZeroNormError):
+                check_separation(ds, mode)
+            return
+        ang = check_separation(ds, mode)
+    ref = reference_check_separation(ds, mode)
+    assert (ang.holds, ang.max_norm) == (ref.holds, ref.max_norm)
+    if ref.worst_pair is None:
+        assert ang == ref
+        return
+    U = X / np.linalg.norm(X, axis=1)[:, None]
+    gram = np.clip(U @ U.T, -1.0, 1.0)
+    best = gram[ref.worst_pair]
+    i, j = ang.worst_pair
+    assert i < j and gram[i, j] >= best - COSINE_TOL
+    lo, hi = np.arccos(np.clip([best + COSINE_TOL, best - COSINE_TOL], -1.0, 1.0))
+    assert lo <= ang.worst_value <= hi
+    others = gram[np.triu_indices(len(X), k=1)]
+    if np.sum(others >= best - 2 * COSINE_TOL) == 1:
+        # no other pair within rounding of the closest one
+        assert ang.worst_pair == ref.worst_pair
+
+
+def test_blocked_scan_memory_is_bounded():
+    # the whole-matrix check held a 512 MB Gram matrix, its clipped copy and
+    # two triu_indices arrays here, past 1 GB
+    X = sample_sphere_uniform(8, 1.0, 8192, seed=3)
+    ds = Dataset(X, np.zeros(len(X)))
+    tracemalloc.start()
+    try:
+        verdict = check_separation(ds, SeparationMode.angular(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.worst_pair is not None
+    assert peak < 64 * 2**20

@@ -1,5 +1,7 @@
 import itertools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,8 +270,23 @@ def reference_entry_error(doc):
     return None
 
 
-INT64 = st.integers(-(2**63), 2**63 - 1)
+INT64_MAX = 2**63 - 1
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bounded_int_row(draw, width):
+    """(weights, bias) of one integer row, zeros common, whose absolute
+    values sum to at most 2^63 - 1, the most an integer layer accepts."""
+    budget = INT64_MAX
+    values = []
+    for _ in range(width + 1):
+        small = min(3, budget)
+        v = draw(st.one_of(st.just(0), st.integers(-small, small),
+                           st.integers(-budget, budget)))
+        budget -= abs(v)
+        values.append(v)
+    return values[1:], values[0]
 
 
 @st.composite
@@ -289,12 +306,10 @@ def networks(draw):
             b = draw(st.lists(FINITE, min_size=shape[0], max_size=shape[0]))
             layers.append(ThresholdLayer.real(W, b))
         else:
-            value = st.one_of(st.just(0), st.integers(-3, 3), INT64)
-            W = np.array(draw(st.lists(value, min_size=shape[0] * shape[1],
-                                       max_size=shape[0] * shape[1])),
-                         dtype=np.int64).reshape(shape)
-            b = draw(st.lists(INT64, min_size=shape[0], max_size=shape[0]))
-            layers.append(ThresholdLayer.integer(W, np.array(b, dtype=np.int64)))
+            rows = [draw(bounded_int_row(shape[1])) for _ in range(shape[0])]
+            W = np.array([w for w, _ in rows], dtype=np.int64)
+            b = np.array([c for _, c in rows], dtype=np.int64)
+            layers.append(ThresholdLayer.integer(W, b))
     return ThresholdNetwork(layers, input_dim=dims[0])
 
 
@@ -392,9 +407,60 @@ def test_deserialize_rejects_non_finite_real_values(token):
 
 
 def test_int64_extremes_round_trip():
-    layer = ThresholdLayer.integer(np.array([[2**63 - 1, -(2**63)]]), np.array([-(2**63)]))
-    net = ThresholdNetwork([layer], input_dim=2)
+    # each row sits exactly at the row bound 2^63 - 1
+    layer = ThresholdLayer.integer(
+        np.array([[INT64_MAX, 0], [0, -INT64_MAX], [0, 0]]), np.array([0, 0, -INT64_MAX]))
+    out = ThresholdLayer.integer(np.array([[1, 1, 1]]), np.array([-1]))
+    net = ThresholdNetwork([layer, out], input_dim=2)
     assert deserialize(serialize(net)) == net
+
+
+@pytest.mark.parametrize("W, b", [
+    ([[2**62, 2**62, 1]], [-1]),  # evaluated to 0 on (1, 1, 0), not 1
+    ([[2**62, 2**62]], [-1]),     # evaluated to 0 on (1, 1), not 1
+    ([[-(2**63), 0]], [0]),       # np.abs(-2^63) wraps to itself
+    ([[1, 0]], [-(2**63)]),
+    ([[1, 1], [2**61, 2**61]], [0, 2**62]),
+])
+def test_integer_layer_refuses_row_bound_past_int64(W, b):
+    with pytest.raises(ValueError, match="past the int64 maximum"):
+        ThresholdLayer.integer(np.array(W, dtype=np.int64), np.array(b, dtype=np.int64))
+    rows = [[r, c, v] for r, row in enumerate(W) for c, v in enumerate(row) if v]
+    with pytest.raises(SerializationError, match=r"^\$\.layers\[0\]: .*past the int64 maximum"):
+        deserialize(_doc("integer", rows, b, rows=len(W), cols=len(W[0])))
+
+
+@pytest.mark.parametrize("x", list(itertools.product([0, 1], repeat=4)))
+def test_rows_at_the_int64_bound_evaluate_exactly(x):
+    # a fan-in-2 row (truth table) and a fan-in-4 row (sparse product), each
+    # with sum |w| + |b| = 2^63 - 1, against Python's exact integers
+    W = [[2**62, -(2**62 - 2), 0, 0], [2**61, 2**61, -(2**61), 2**61 - 2]]
+    b = [-1, -1]
+    layer = ThresholdLayer.integer(np.array(W), np.array(b))
+    expected = [int(sum(w * xi for w, xi in zip(row, x)) + c >= 0) for row, c in zip(W, b)]
+    assert evaluate_layers([layer], np.array([x]))[0].tolist() == expected
+
+
+def test_deserialize_refuses_real_layer_larger_than_document():
+    # run in a child whose address space is capped at 1 GiB: the declared
+    # 1 x 200,000,000 layer would need 1.49 GiB of float64
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from threshmem.netcore import SerializationError, deserialize\n"
+        "doc = (b'{\"input_dim\": 200000000, \"layers\": [{\"domain\": \"real\", '\n"
+        "       b'\"rows\": 1, \"cols\": 200000000, \"entries\": [], \"bias\": [0.0]}]}')\n"
+        "try:\n"
+        "    deserialize(doc)\n"
+        "except SerializationError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("$.layers[0]: a real layer of 1 x 200000000 weights")
 
 
 # ---------------------------------------------------------------------------
