@@ -66,13 +66,6 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _manifest_path(args, primary_out) -> Path:
-    if getattr(args, "manifest", None):
-        return Path(args.manifest)
-    out = Path(primary_out)
-    return out.with_name(out.stem + ".manifest.json")
-
-
 def _emit_manifest(args, command: str, params: dict, artifacts: dict, started: float) -> None:
     manifest = {
         "command": command,
@@ -85,7 +78,8 @@ def _emit_manifest(args, command: str, params: dict, artifacts: dict, started: f
     if getattr(args, "manifest", None):
         path = Path(args.manifest)
     elif artifacts:
-        path = _manifest_path(args, next(iter(artifacts.values())))
+        out = Path(next(iter(artifacts.values())))
+        path = out.with_name(out.stem + ".manifest.json")
     else:
         return  # stdout-only invocation with no anchor for a manifest
     _write_json(path, manifest)

@@ -132,10 +132,24 @@ class FirstLayerResult:
 
 
 def _duplicate_groups(codes: np.ndarray) -> list[list[int]]:
-    seen: dict[bytes, list[int]] = {}
-    for i in range(codes.shape[0]):
-        seen.setdefault(codes[i].tobytes(), []).append(i)
-    return [g for g in seen.values() if len(g) > 1]
+    """Indices of the rows that share a code, one ascending list per shared
+    code, in order of each code's first row."""
+    packed = np.packbits(codes, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    members = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(counts)
+    shared = np.flatnonzero(counts > 1)
+    return [members[ends[k] - counts[k] : ends[k]].tolist()
+            for k in shared[np.argsort(first[shared])]]
+
+
+def _attempt_widths(start: int, max_retries: int):
+    """Width of each attempt of a resampled step: max_retries attempts, the
+    width doubling after every FAILURES_BEFORE_WIDEN of them."""
+    for k in range(max_retries):
+        yield start << (k // FAILURES_BEFORE_WIDEN)
 
 
 def _closest_colliding_pair(ds: Dataset, groups, mode: SeparationMode):
@@ -163,10 +177,7 @@ def build_first_layer(ds: Dataset, cfg: ConstructionConfig) -> FirstLayerResult:
     evaluation path so they match later network forwards bit for bit.
     """
     rng = cfg.step_rng(0)
-    m = cfg.first_layer_width(ds.n)
-    retries = 0
-    failures_at_width = 0
-    while True:
+    for retries, m in enumerate(_attempt_widths(cfg.first_layer_width(ds.n), cfg.max_retries)):
         W = rng.standard_normal((m, ds.dim))
         if cfg.mode.is_angular:
             b = np.zeros(m)
@@ -177,20 +188,14 @@ def build_first_layer(ds: Dataset, cfg: ConstructionConfig) -> FirstLayerResult:
         groups = _duplicate_groups(codes)
         if not groups:
             return FirstLayerResult(layer, codes, m, retries)
-        retries += 1
-        failures_at_width += 1
-        if retries >= cfg.max_retries:
-            pair, value = _closest_colliding_pair(ds, groups, cfg.mode)
-            raise ConstructionRetryError(
-                f"first layer failed to separate all pairs after {retries} retries "
-                f"(width reached {m}); worst colliding pair {pair} at "
-                f"{cfg.mode.kind} separation {value:.6g} vs required {cfg.mode.delta}",
-                worst_pair=pair,
-                worst_value=value,
-            )
-        if failures_at_width >= FAILURES_BEFORE_WIDEN:
-            m *= 2
-            failures_at_width = 0
+    pair, value = _closest_colliding_pair(ds, groups, cfg.mode)
+    raise ConstructionRetryError(
+        f"first layer failed to separate all pairs after {cfg.max_retries} retries "
+        f"(width reached {m}); worst colliding pair {pair} at "
+        f"{cfg.mode.kind} separation {value:.6g} vs required {cfg.mode.delta}",
+        worst_pair=pair,
+        worst_value=value,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +251,15 @@ def plan_compression(codes, cfg: ConstructionConfig) -> CompressionResult:
     if _duplicate_groups(codes):
         raise ValueError("input codes must be pairwise distinct")
     rng = cfg.step_rng(1)
-    m = cfg.compression_width(n)
-    retries = 0
-    failures_at_width = 0
-    while True:
+    for retries, m in enumerate(_attempt_widths(cfg.compression_width(n), cfg.max_retries)):
         masks = rng.integers(0, 2, size=(m, d1), dtype=np.uint8)
         compressed = apply_compression(codes, masks)
         if not _duplicate_groups(compressed):
             return CompressionResult(CompressionPlan(masks), compressed, retries)
-        retries += 1
-        failures_at_width += 1
-        if retries >= cfg.max_retries:
-            raise ConstructionRetryError(
-                f"mask compression failed to stay injective after {retries} retries "
-                f"(width reached {m}); this signals a configuration error"
-            )
-        if failures_at_width >= FAILURES_BEFORE_WIDEN:
-            m *= 2
-            failures_at_width = 0
+    raise ConstructionRetryError(
+        f"mask compression failed to stay injective after {cfg.max_retries} retries "
+        f"(width reached {m}); this signals a configuration error"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +278,51 @@ class XorSubnetwork:
     output_dim: int
     gadget_neurons: int
     padding_neurons: int
-    gadget_weights: int  # entries plus biases, 9 per gadget
-    padding_weights: int  # 2 per pass-through, 1 per constant-zero neuron
 
     @property
     def neurons(self) -> int:
         return self.gadget_neurons + self.padding_neurons
 
 
-class _LayerSink:
-    """Accumulates sparse rows for one layer under construction."""
+def _xor_level(tree: np.ndarray, signal: np.ndarray, m: int, in_dim: int):
+    """One level of all m parity trees: the half layer, the combine layer,
+    and the tree of each combine neuron, in order.
 
-    def __init__(self, in_dim: int):
-        self.in_dim = in_dim
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[int] = []
-        self.biases: list[int] = []
+    tree[k] and signal[k] name the k-th live signal, grouped by tree in
+    order. Each tree's signals pair up in order into XOR nodes; an odd last
+    signal is copied, and an empty tree gets one constant-zero neuron.
+    """
+    count = np.bincount(tree, minlength=m)
+    ops = np.maximum((count + 1) // 2, 1)  # per tree: XOR nodes and copies
+    op_tree = np.repeat(np.arange(m), ops)
+    pos = np.arange(tree.size) - (np.cumsum(count) - count)[tree]
+    op = (np.cumsum(ops) - ops)[tree] + pos // 2  # each signal's op
+    xor = np.bincount(op, minlength=op_tree.size) == 2  # else a copy or a constant
+    height = 1 + xor  # half neurons per op
+    first = np.cumsum(height) - height  # each op's first half neuron
 
-    def add_row(self, entries, bias: int) -> int:
-        idx = len(self.biases)
-        for col, val in entries:
-            if val != 0:
-                self.rows.append(idx)
-                self.cols.append(col)
-                self.vals.append(val)
-        self.biases.append(bias)
-        return idx
-
-    def build(self) -> ThresholdLayer:
-        return ThresholdLayer.integer_from_entries(
-            len(self.biases), self.in_dim, self.rows, self.cols, self.vals,
-            np.array(self.biases, dtype=np.int64),
-        )
+    # an XOR node on (a, b) has half neurons sigma(a - b - 1), sigma(b - a - 1);
+    # a copy of s is sigma(2s - 1); a constant is sigma(-1). Signal q of a
+    # node weighs +1 in half neuron q and -1 in the other.
+    paired = xor[op]
+    q = pos % 2
+    half = ThresholdLayer.integer_from_entries(
+        int(height.sum()), in_dim,
+        np.concatenate([first[op] + q, (first[op] + 1 - q)[paired]]),
+        np.concatenate([signal, signal[paired]]),
+        np.concatenate([np.where(paired, 1, 2), np.full(int(paired.sum()), -1)]),
+        np.full(int(height.sum()), -1),
+    )
+    # an XOR node sums its two half neurons, a copy doubles its one
+    out = np.arange(op_tree.size)
+    combine = ThresholdLayer.integer_from_entries(
+        op_tree.size, half.out_dim,
+        np.concatenate([out, out[xor]]),
+        np.concatenate([first, first[xor] + 1]),
+        np.where(np.concatenate([xor, xor[xor]]), 1, 2),
+        np.full(op_tree.size, -1),
+    )
+    return half, combine, op_tree
 
 
 def build_xor_subnetwork(plan: CompressionPlan, d1: int) -> XorSubnetwork:
@@ -323,78 +331,31 @@ def build_xor_subnetwork(plan: CompressionPlan, d1: int) -> XorSubnetwork:
     if plan.input_length != d1:
         raise ValueError(f"masks expect input length {plan.input_length}, got d1={d1}")
     m = plan.m
-    signals = [list(np.flatnonzero(masks[k])) for k in range(m)]
-    levels = max(((len(s) - 1).bit_length() if s else 0) for s in signals)
-
-    layers = []
-    gadget_neurons = padding_neurons = 0
-    gadget_weights = padding_weights = 0
+    tree, signal = np.nonzero(masks)
+    live = masks.sum(axis=1)
+    levels = max(int(live.max()) - 1, 0).bit_length()
 
     if levels == 0:
         # every mask has at most one live bit: a single copy/constant layer
-        sink = _LayerSink(d1)
-        for s in signals:
-            if s:
-                sink.add_row([(s[0], 2)], -1)
-                padding_weights += 2
-            else:
-                sink.add_row([], -1)
-                padding_weights += 1
-            padding_neurons += 1
-        layers.append(sink.build())
-        return XorSubnetwork(layers, m, 0, padding_neurons, 0, padding_weights)
+        layers = [ThresholdLayer.integer_from_entries(
+            m, d1, tree, signal, np.full(tree.size, 2), np.full(m, -1))]
+    else:
+        layers = []
+        in_dim = d1
+        for _ in range(levels):
+            half, combine, tree = _xor_level(tree, signal, m, in_dim)
+            layers += [half, combine]
+            signal = np.arange(tree.size)
+            in_dim = tree.size
+        # after the last level each tree holds one signal emitted in tree
+        # order, so row k of the final layer is exactly parity k
+        assert tree.size == m
 
-    in_dim = d1
-    for level in range(levels):
-        half = _LayerSink(in_dim)
-        plan_rows = []  # per tree: list of ("xor", u, v) / ("copy", idx)
-        for s in signals:
-            ops = []
-            if not s:
-                # empty mask: materialize a constant zero once, then copy it
-                idx = half.add_row([], -1)
-                padding_neurons += 1
-                padding_weights += 1
-                ops.append(("copy", idx))
-            else:
-                for p in range(len(s) // 2):
-                    a, b = s[2 * p], s[2 * p + 1]
-                    u = half.add_row([(a, 1), (b, -1)], -1)
-                    v = half.add_row([(b, 1), (a, -1)], -1)
-                    gadget_neurons += 2
-                    gadget_weights += 6
-                    ops.append(("xor", u, v))
-                if len(s) % 2 == 1:
-                    idx = half.add_row([(s[-1], 2)], -1)
-                    padding_neurons += 1
-                    padding_weights += 2
-                    ops.append(("copy", idx))
-            plan_rows.append(ops)
-        layers.append(half.build())
-
-        combine = _LayerSink(len(half.biases))
-        new_signals = []
-        for ops in plan_rows:
-            outs = []
-            for op in ops:
-                if op[0] == "xor":
-                    outs.append(combine.add_row([(op[1], 1), (op[2], 1)], -1))
-                    gadget_neurons += 1
-                    gadget_weights += 3
-                else:
-                    outs.append(combine.add_row([(op[1], 2)], -1))
-                    padding_neurons += 1
-                    padding_weights += 2
-            new_signals.append(outs)
-        layers.append(combine.build())
-        signals = new_signals
-        in_dim = len(combine.biases)
-
-    assert all(len(s) == 1 for s in signals)
-    # after the last level each tree holds one signal emitted in tree order,
-    # so row k of the final layer is exactly parity k
-    return XorSubnetwork(layers, m, gadget_neurons, padding_neurons,
-                         gadget_weights, padding_weights)
+    # each XOR node merges two signals of one tree into one, so a tree of
+    # c > 0 live bits costs c - 1 nodes of three neurons
+    gadget_neurons = 3 * int(live.sum() - np.count_nonzero(live))
+    neurons = sum(layer.out_dim for layer in layers)
+    return XorSubnetwork(layers, m, gadget_neurons, neurons - gadget_neurons)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +371,6 @@ class PrefixSubset:
 @dataclass(frozen=True)
 class PrefixPartition:
     subsets: list[PrefixSubset]
-    code_length: int
-    n: int
 
     @property
     def K(self) -> int:
@@ -431,7 +390,7 @@ def prefix_partition(codes) -> PrefixPartition:
     recursion bottoms out by full depth.
     """
     codes = as_code_matrix(codes)
-    n, length = codes.shape
+    n = codes.shape[0]
     if _duplicate_groups(codes):
         raise ValueError("codes must be pairwise distinct")
     cap = ceil_sqrt(n)
@@ -450,7 +409,7 @@ def prefix_partition(codes) -> PrefixPartition:
             visit(ones, depth + 1, prefix + "1")
 
     visit(np.arange(n), 0, "")
-    return PrefixPartition(subsets, length, n)
+    return PrefixPartition(subsets)
 
 
 def build_selector_layer(part: PrefixPartition, d2: int) -> ThresholdLayer:
@@ -460,15 +419,17 @@ def build_selector_layer(part: PrefixPartition, d2: int) -> ThresholdLayer:
     2b-1 on the prefix positions and bias -popcount(prefix). Copy neuron j
     is sigma(2 z_j - 1). Output layout is [s(z); z].
     """
-    sink = _LayerSink(d2)
-    for sub in part.subsets:
+    K = part.K
+    W = np.zeros((K + d2, d2), dtype=np.int64)
+    biases = np.full(K + d2, -1, dtype=np.int64)
+    for i, sub in enumerate(part.subsets):
         if len(sub.prefix) > d2:
             raise ValueError(f"prefix {sub.prefix!r} longer than code length {d2}")
-        entries = [(j, 2 * int(bit) - 1) for j, bit in enumerate(sub.prefix)]
-        sink.add_row(entries, -sub.prefix.count("1"))
-    for j in range(d2):
-        sink.add_row([(j, 2)], -1)
-    return sink.build()
+        bits = np.array([int(bit) for bit in sub.prefix], dtype=np.int64)
+        W[i, : bits.size] = 2 * bits - 1
+        biases[i] = -bits.sum()
+    W[K:] = 2 * np.eye(d2, dtype=np.int64)
+    return ThresholdLayer.integer(W, biases)
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +444,16 @@ def build_expansion_layer(part: PrefixPartition, d2: int) -> ThresholdLayer:
     every other chunk is all zero.
     """
     K = part.K
-    sink = _LayerSink(K + d2)
-    for i in range(K):
-        sink.add_row([(i, 1)], -1)
-        for j in range(d2):
-            sink.add_row([(i, 1), (K + j, 1)], -2)
-    return sink.build()
+    out = np.arange(K * (d2 + 1))
+    chunk, j = np.divmod(out, d2 + 1)
+    reads_z = j > 0
+    return ThresholdLayer.integer_from_entries(
+        out.size, K + d2,
+        np.concatenate([out, out[reads_z]]),
+        np.concatenate([chunk, K + j[reads_z] - 1]),
+        np.ones(out.size + int(reads_z.sum()), dtype=np.int64),
+        np.where(reads_z, -2, -1),
+    )
 
 
 def build_memorization_layer(part: PrefixPartition, codes, labels) -> ThresholdLayer:
@@ -507,31 +472,28 @@ def build_memorization_layer(part: PrefixPartition, codes, labels) -> ThresholdL
         raise ValueError("labels must align with codes")
     d2 = codes.shape[1]
     R = part.max_subset_size
-    sink = _LayerSink(part.K * (d2 + 1))
-    for i in range(R):
-        entries = []
-        for j, sub in enumerate(part.subsets):
-            base = j * (d2 + 1)
-            if i < len(sub.member_indices):
-                idx = int(sub.member_indices[i])
-                z = codes[idx]
-                y = int(labels[idx])
-                t = int(z.sum())
-                entries.append((base, -t + y - 1))
-                entries.extend((base + 1 + jj, 2 * int(z[jj]) - 1) for jj in range(d2))
-            else:
-                entries.append((base, -1))
-        sink.add_row(entries, 0)
-    return sink.build()
+    sizes = np.array([len(sub.member_indices) for sub in part.subsets])
+    member = np.concatenate([sub.member_indices for sub in part.subsets])
+    rank = np.arange(member.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = np.repeat(np.arange(part.K) * (d2 + 1), sizes)
+    z = codes[member].astype(np.int64)
+    head = labels[member].astype(np.int64) - z.sum(axis=1) - 1
+    empty_subset, empty_rank = np.nonzero(np.arange(R) >= sizes[:, None])
+    return ThresholdLayer.integer_from_entries(
+        R, part.K * (d2 + 1),
+        np.concatenate([rank, np.repeat(rank, d2), empty_rank]),
+        np.concatenate([base, (base[:, None] + 1 + np.arange(d2)).ravel(),
+                        empty_subset * (d2 + 1)]),
+        np.concatenate([head, (2 * z - 1).ravel(), np.full(empty_rank.size, -1)]),
+        np.zeros(R, dtype=np.int64),
+    )
 
 
 def build_output_layer(width: int) -> ThresholdLayer:
     """OR over the memorization bank: sigma(2 q_1 + ... + 2 q_width - 1)."""
     if width < 1:
         raise ValueError("width must be positive")
-    sink = _LayerSink(width)
-    sink.add_row([(j, 2) for j in range(width)], -1)
-    return sink.build()
+    return ThresholdLayer.integer(np.full((1, width), 2), [-1])
 
 
 # ---------------------------------------------------------------------------

@@ -334,19 +334,19 @@ def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
     """One layer on an (in_dim, B) block of unpacked values; (out_dim, B) bool.
 
     Real layers run here, and an integer layer whose input is not all bits.
+    Both compute in float64, which is exact for an integer layer while every
+    term stays below 2^53.
     """
-    if layer.domain == REAL:
-        P = layer.weights @ Z.astype(np.float64, copy=False)
-        P += layer.biases[:, None]
-        if np.any(np.abs(P) <= TIE_TOLERANCE):
-            warnings.warn(
-                "real-layer pre-activation within tie tolerance of zero; "
-                "the resulting bit is numerically fragile",
-                ThresholdTieWarning,
-                stacklevel=4,
-            )
-        return P >= 0
-    return layer.weights @ Z.astype(np.int64, copy=False) >= -layer.biases[:, None]
+    P = layer.weights @ Z.astype(np.float64, copy=False)
+    P += layer.biases[:, None]
+    if layer.domain == REAL and np.any(np.abs(P) <= TIE_TOLERANCE):
+        warnings.warn(
+            "real-layer pre-activation within tie tolerance of zero; "
+            "the resulting bit is numerically fragile",
+            ThresholdTieWarning,
+            stacklevel=4,
+        )
+    return P >= 0
 
 
 def _apply_chunked(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:

@@ -129,12 +129,17 @@ def test_xor_compiler_equivalence():
             got = evaluate_layers(sub.layers, inputs)
             want = apply_compression(inputs, masks)
             assert np.array_equal(got, want)  # zero mismatches over all 2^d1
-            total_neurons = sum(layer.out_dim for layer in sub.layers)
-            total_weights = sum(layer.weight_entries() + layer.out_dim for layer in sub.layers)
+            # the gadget neurons are exactly the fan-in-2 rows, 3 weights
+            # each with the bias; copies and constants have fan-in <= 1
+            fan_in = np.concatenate([np.diff(layer.weights.indptr) for layer in sub.layers])
+            gadgets = fan_in == 2
+            assert np.count_nonzero(gadgets) == sub.gadget_neurons
             assert sub.gadget_neurons <= 3 * max(d1 - 1, 0) * m
-            assert sub.gadget_weights <= 9 * max(d1 - 1, 0) * m
+            assert np.all(fan_in[~gadgets] <= 1)
+            gadget_weights = int(fan_in[gadgets].sum()) + np.count_nonzero(gadgets)
+            assert gadget_weights == 3 * sub.gadget_neurons <= 9 * max(d1 - 1, 0) * m
+            total_neurons = sum(layer.out_dim for layer in sub.layers)
             assert total_neurons == sub.gadget_neurons + sub.padding_neurons
-            assert total_weights == sub.gadget_weights + sub.padding_weights
 
 
 def _random_distinct_codes(rng, n, length):

@@ -54,6 +54,15 @@ def test_generate_build_eval_round_trip(tmp_path, small_dataset, capsys):
     assert all(r["label"] == r["prediction"] for r in rows)
 
 
+def test_manifest_flag_sets_the_manifest_path(tmp_path):
+    out = tmp_path / "ds.csv"
+    manifest = tmp_path / "elsewhere.json"
+    assert run(["generate", "--n", 8, "--d", 2, "--delta", 0.1, "--seed", 1,
+                "--out", out, "--manifest", manifest]) == 0
+    assert read_json(manifest)["artifacts"] == {"out": str(out)}
+    assert not (tmp_path / "ds.manifest.json").exists()
+
+
 def test_build_rejects_unseparated_dataset(tmp_path, capsys):
     ds = Dataset([[0.1, 0.0], [0.100001, 0.0]], [0, 1])
     path = tmp_path / "bad.csv"

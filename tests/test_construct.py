@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from threshmem import construct
 from threshmem.construct import (
     ConstructionConfig,
     ConstructionRetryError,
@@ -24,7 +25,14 @@ from threshmem.construct import (
 )
 from threshmem.construct import CompressionPlan
 from threshmem.geometry import Dataset, SeparationMode
-from threshmem.netcore import audit, evaluate_layers, forward, forward_batch, serialize
+from threshmem.netcore import (
+    ThresholdLayer,
+    audit,
+    evaluate_layers,
+    forward,
+    forward_batch,
+    serialize,
+)
 
 
 def distance_cfg(delta, seed=0, **kw):
@@ -70,6 +78,21 @@ def verify_partition(part, codes):
 
 # ---------------------------------------------------------------------------
 # Step 1
+
+
+def reference_duplicate_groups(codes):
+    seen = {}
+    for i in range(codes.shape[0]):
+        seen.setdefault(codes[i].tobytes(), []).append(i)
+    return [g for g in seen.values() if len(g) > 1]
+
+
+@given(st.integers(1, 20), st.integers(1, 70), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_duplicate_groups_equal_reference(length, n, seed):
+    # the groups' order decides which pair a first-layer failure names
+    codes = np.random.default_rng(seed).integers(0, 2, (n, length), dtype=np.uint8)
+    assert construct._duplicate_groups(codes) == reference_duplicate_groups(codes)
 
 
 def test_first_layer_antipodal_pair_angular():
@@ -175,6 +198,28 @@ def test_plan_compression_rejects_duplicates():
         plan_compression(codes, distance_cfg(0.1))
 
 
+def test_plan_compression_retry_schedule(monkeypatch):
+    # three attempts per width, then the width doubles, for exactly
+    # max_retries attempts
+    widths = []
+
+    def always_collide(codes, masks):
+        widths.append(masks.shape[0])
+        return np.zeros((codes.shape[0], masks.shape[0]), dtype=np.uint8)
+
+    monkeypatch.setattr(construct, "apply_compression", always_collide)
+    codes = random_distinct_codes(np.random.default_rng(0), 16, 20)
+    cfg = distance_cfg(0.1, max_retries=8)
+    w = cfg.compression_width(16)
+    with pytest.raises(ConstructionRetryError) as exc_info:
+        plan_compression(codes, cfg)
+    assert widths == [w, w, w, 2 * w, 2 * w, 2 * w, 4 * w, 4 * w]
+    assert str(exc_info.value) == (
+        f"mask compression failed to stay injective after 8 retries "
+        f"(width reached {4 * w}); this signals a configuration error"
+    )
+
+
 def test_mask_separation_frequency_monte_carlo():
     # codes differing in exactly one bit are split by a mask iff the mask
     # is 1 there: frequency 0.5
@@ -231,12 +276,16 @@ def test_xor_subnetwork_budget():
         m = int(rng.integers(1, 6))
         masks = rng.integers(0, 2, (m, d1), dtype=np.uint8)
         sub = build_xor_subnetwork(CompressionPlan(masks), d1)
-        assert sub.gadget_neurons <= 3 * (d1 - 1) * m
-        assert sub.gadget_weights <= 9 * (d1 - 1) * m
+        # gadget neurons are exactly the fan-in-2 rows; copies and constants
+        # have fan-in 1 and 0
+        fan_in = np.concatenate([np.diff(layer.weights.indptr) for layer in sub.layers])
+        gadgets = fan_in == 2
+        assert np.count_nonzero(gadgets) == sub.gadget_neurons <= 3 * (d1 - 1) * m
+        assert np.all(fan_in[~gadgets] <= 1)
+        gadget_weights = int(fan_in[gadgets].sum()) + np.count_nonzero(gadgets)
+        assert gadget_weights == 3 * sub.gadget_neurons <= 9 * (d1 - 1) * m
         totals = sum(layer.out_dim for layer in sub.layers)
         assert totals == sub.gadget_neurons + sub.padding_neurons
-        entries = sum(layer.weight_entries() + layer.out_dim for layer in sub.layers)
-        assert entries == sub.gadget_weights + sub.padding_weights
 
 
 def test_xor_subnetwork_all_zero_mask():
@@ -309,7 +358,7 @@ def test_selector_hand_example_prefix_10():
     # sigma(1 - 0 - 1) = sigma(0) = 1, rejects 11xx via sigma(1 - 1 - 1) = 0
     from threshmem.construct import PrefixPartition, PrefixSubset
 
-    part = PrefixPartition([PrefixSubset("10", np.array([0]))], code_length=4, n=1)
+    part = PrefixPartition([PrefixSubset("10", np.array([0]))])
     layer = build_selector_layer(part, 4)
     fires = evaluate_layers([layer], np.array([[1, 0, 1, 1]], dtype=np.uint8))
     rejects = evaluate_layers([layer], np.array([[1, 1, 0, 0]], dtype=np.uint8))
@@ -532,3 +581,210 @@ def test_construct_first_layer_is_real_rest_integer():
     net, _ = construct_memorizer(ds, ConstructionConfig(mode=mode, seed=1))
     assert net.layers[0].domain == "real"
     assert all(layer.is_integer for layer in net.layers[1:])
+
+
+# ---------------------------------------------------------------------------
+# Layer builders against row-at-a-time reference copies
+
+
+class _ReferenceLayerSink:
+    """Accumulates sparse rows for one layer under construction."""
+
+    def __init__(self, in_dim: int):
+        self.in_dim = in_dim
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[int] = []
+        self.biases: list[int] = []
+
+    def add_row(self, entries, bias: int) -> int:
+        idx = len(self.biases)
+        for col, val in entries:
+            if val != 0:
+                self.rows.append(idx)
+                self.cols.append(col)
+                self.vals.append(val)
+        self.biases.append(bias)
+        return idx
+
+    def build(self) -> ThresholdLayer:
+        return ThresholdLayer.integer_from_entries(
+            len(self.biases), self.in_dim, self.rows, self.cols, self.vals,
+            np.array(self.biases, dtype=np.int64),
+        )
+
+
+def reference_xor_subnetwork(masks, d1):
+    """(layers, gadget_neurons, padding_neurons, gadget_weights,
+    padding_weights), built one row at a time with hand-kept counters."""
+    m = masks.shape[0]
+    signals = [list(np.flatnonzero(masks[k])) for k in range(m)]
+    levels = max(((len(s) - 1).bit_length() if s else 0) for s in signals)
+
+    layers = []
+    gadget_neurons = padding_neurons = 0
+    gadget_weights = padding_weights = 0
+
+    if levels == 0:
+        sink = _ReferenceLayerSink(d1)
+        for s in signals:
+            if s:
+                sink.add_row([(s[0], 2)], -1)
+                padding_weights += 2
+            else:
+                sink.add_row([], -1)
+                padding_weights += 1
+            padding_neurons += 1
+        layers.append(sink.build())
+        return layers, 0, padding_neurons, 0, padding_weights
+
+    in_dim = d1
+    for level in range(levels):
+        half = _ReferenceLayerSink(in_dim)
+        plan_rows = []
+        for s in signals:
+            ops = []
+            if not s:
+                idx = half.add_row([], -1)
+                padding_neurons += 1
+                padding_weights += 1
+                ops.append(("copy", idx))
+            else:
+                for p in range(len(s) // 2):
+                    a, b = s[2 * p], s[2 * p + 1]
+                    u = half.add_row([(a, 1), (b, -1)], -1)
+                    v = half.add_row([(b, 1), (a, -1)], -1)
+                    gadget_neurons += 2
+                    gadget_weights += 6
+                    ops.append(("xor", u, v))
+                if len(s) % 2 == 1:
+                    idx = half.add_row([(s[-1], 2)], -1)
+                    padding_neurons += 1
+                    padding_weights += 2
+                    ops.append(("copy", idx))
+            plan_rows.append(ops)
+        layers.append(half.build())
+
+        combine = _ReferenceLayerSink(len(half.biases))
+        new_signals = []
+        for ops in plan_rows:
+            outs = []
+            for op in ops:
+                if op[0] == "xor":
+                    outs.append(combine.add_row([(op[1], 1), (op[2], 1)], -1))
+                    gadget_neurons += 1
+                    gadget_weights += 3
+                else:
+                    outs.append(combine.add_row([(op[1], 2)], -1))
+                    padding_neurons += 1
+                    padding_weights += 2
+            new_signals.append(outs)
+        layers.append(combine.build())
+        signals = new_signals
+        in_dim = len(combine.biases)
+    return layers, gadget_neurons, padding_neurons, gadget_weights, padding_weights
+
+
+def reference_selector_layer(part, d2):
+    sink = _ReferenceLayerSink(d2)
+    for sub in part.subsets:
+        entries = [(j, 2 * int(bit) - 1) for j, bit in enumerate(sub.prefix)]
+        sink.add_row(entries, -sub.prefix.count("1"))
+    for j in range(d2):
+        sink.add_row([(j, 2)], -1)
+    return sink.build()
+
+
+def reference_expansion_layer(part, d2):
+    K = part.K
+    sink = _ReferenceLayerSink(K + d2)
+    for i in range(K):
+        sink.add_row([(i, 1)], -1)
+        for j in range(d2):
+            sink.add_row([(i, 1), (K + j, 1)], -2)
+    return sink.build()
+
+
+def reference_memorization_layer(part, codes, labels):
+    d2 = codes.shape[1]
+    R = part.max_subset_size
+    sink = _ReferenceLayerSink(part.K * (d2 + 1))
+    for i in range(R):
+        entries = []
+        for j, sub in enumerate(part.subsets):
+            base = j * (d2 + 1)
+            if i < len(sub.member_indices):
+                idx = int(sub.member_indices[i])
+                z = codes[idx]
+                y = int(labels[idx])
+                t = int(z.sum())
+                entries.append((base, -t + y - 1))
+                entries.extend((base + 1 + jj, 2 * int(z[jj]) - 1) for jj in range(d2))
+            else:
+                entries.append((base, -1))
+        sink.add_row(entries, 0)
+    return sink.build()
+
+
+def reference_output_layer(width):
+    sink = _ReferenceLayerSink(width)
+    sink.add_row([(j, 2) for j in range(width)], -1)
+    return sink.build()
+
+
+@st.composite
+def mask_matrices(draw):
+    """(m, d1) masks whose rows are empty, one live bit, all ones or random."""
+    d1 = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["empty", "single", "ones", "random"]))
+        row = np.zeros(d1, dtype=np.uint8)
+        if kind == "single":
+            row[draw(st.integers(0, d1 - 1))] = 1
+        elif kind == "ones":
+            row[:] = 1
+        elif kind == "random":
+            row[:] = draw(st.lists(st.integers(0, 1), min_size=d1, max_size=d1))
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(mask_matrices())
+@example(np.zeros((2, 3), dtype=np.uint8))  # every mask empty: one constant layer
+@example(np.eye(3, dtype=np.uint8))  # one live bit each: one copy layer
+@example(np.ones((1, 1), dtype=np.uint8))  # d1 = 1
+@example(np.array([[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0]], dtype=np.uint8))
+@settings(max_examples=200, deadline=None)
+def test_xor_subnetwork_equals_reference(masks):
+    d1 = masks.shape[1]
+    sub = build_xor_subnetwork(CompressionPlan(masks), d1)
+    layers, gadget_neurons, padding_neurons, gadget_weights, _ = reference_xor_subnetwork(masks, d1)
+    assert sub.layers == layers
+    assert (sub.gadget_neurons, sub.padding_neurons) == (gadget_neurons, padding_neurons)
+    assert gadget_weights == 3 * gadget_neurons
+
+
+@st.composite
+def labeled_codes(draw):
+    """Distinct codes of length 1..8 with labels."""
+    d2 = draw(st.integers(1, 8))
+    ints = draw(st.lists(st.integers(0, 2**d2 - 1), min_size=1, max_size=40, unique=True))
+    codes = ((np.array(ints)[:, None] >> np.arange(d2)) & 1).astype(np.uint8)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=len(ints), max_size=len(ints))))
+    return codes, labels
+
+
+@given(labeled_codes())
+@example((np.array([[1, 0, 1]], dtype=np.uint8), np.array([1])))  # n = 1: the root subset
+@example((np.array([[0, 0, 0], [1, 0, 1], [1, 1, 0]], dtype=np.uint8), np.array([1, 0, 1])))
+@settings(max_examples=200, deadline=None)
+def test_partition_layers_equal_reference(case):
+    codes, labels = case
+    d2 = codes.shape[1]
+    part = prefix_partition(codes)
+    assert build_selector_layer(part, d2) == reference_selector_layer(part, d2)
+    assert build_expansion_layer(part, d2) == reference_expansion_layer(part, d2)
+    assert (build_memorization_layer(part, codes, labels)
+            == reference_memorization_layer(part, codes, labels))
+    assert build_output_layer(part.max_subset_size) == reference_output_layer(part.max_subset_size)

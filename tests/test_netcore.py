@@ -441,6 +441,16 @@ def test_rows_at_the_int64_bound_evaluate_exactly(x):
     assert evaluate_layers([layer], np.array([x]))[0].tolist() == expected
 
 
+@pytest.mark.parametrize("w, x, want", [
+    (1, -0.5, 0),     # -0.5 >= 0 is false; an int64 cast truncated it to 0
+    (2, 2**62, 1),    # 2^63 >= 0; an int64 product wrapped to -2^63
+])
+def test_integer_layer_on_non_bit_input_is_exact(w, x, want):
+    net = ThresholdNetwork([ThresholdLayer.integer([[w]], [0])], 1)
+    assert forward(net, [x]) == want
+    assert forward_batch(net, np.array([[x], [0]])).tolist() == [want, 1]
+
+
 def test_deserialize_refuses_real_layer_larger_than_document():
     # run in a child whose address space is capped at 1 GiB: the declared
     # 1 x 200,000,000 layer would need 1.49 GiB of float64
