@@ -6,6 +6,8 @@ labels. Separation between points is measured either as the pairwise angle
 (distance mode). The check is exact: it compares every pair, in O(n^2)
 time with no approximate nearest-neighbor shortcut, but it scans the pairs
 in row blocks, so its memory is bounded by one block rather than n^2.
+Generation rejection-samples candidates in batches, yet accepts exactly
+the points that testing one candidate at a time would.
 """
 
 from __future__ import annotations
@@ -217,47 +219,93 @@ def sample_sphere_uniform(d: int, radius: float, count: int, seed) -> np.ndarray
     return X * (radius / norms)[:, None]
 
 
-def _sample_unit_ball(rng: np.random.Generator, d: int, count: int = 1) -> np.ndarray:
-    directions = rng.standard_normal((count, d))
+def _sample_unit_ball(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One uniform point of the unit ball in R^d, as a (1, d) array."""
+    directions = rng.standard_normal((1, d))
     norms = np.linalg.norm(directions, axis=1)
     norms[norms == 0] = 1.0
-    radii = rng.random(count) ** (1.0 / d)
+    radii = rng.random(1) ** (1.0 / d)
     return directions * (radii / norms)[:, None]
 
 
-def sample_separated(propose: Callable[[], np.ndarray], count: int, d: int,
-                     min_sep: float, angular: bool, what: str) -> np.ndarray:
-    """Rejection-sample `count` points of R^d from `propose()`, pairwise separated.
+#: sample_separated draws and tests at most this many candidates at once.
+#: Its batch-against-batch block must fit in SCAN_BLOCK values: 256**2 does.
+PROPOSAL_BATCH = 256
 
-    A candidate closer than min_sep to any accepted point is rejected; the
+#: A batch verdict on a pair counts only when the pair's value lies farther
+#: than this from the threshold: relative for distances, absolute for
+#: cosines of unit vectors. Blocked products round differently from the
+#: one-candidate arithmetic, but only by about d * 2.2e-16, far inside it.
+SAMPLE_MARGIN = 1e-9
+
+#: Pair verdicts, ordered so that a candidate's verdict is their minimum.
+_CLOSE, _UNSURE, _FAR = -1, 0, 1
+
+
+def _pair_verdicts(cands: np.ndarray, rows: np.ndarray, min_sep: float,
+                   angular: bool) -> np.ndarray:
+    """(len(cands), len(rows)) int8 array: _FAR or _CLOSE where the pair is
+    surely at least or surely less than min_sep apart, else _UNSURE."""
+    if angular:
+        cos = cands @ rows.T
+        threshold = math.cos(min_sep)
+        return (cos < threshold - SAMPLE_MARGIN).view(np.int8) - (cos > threshold + SAMPLE_MARGIN)
+    dist = cdist(cands, rows)
+    return ((dist > min_sep * (1 + SAMPLE_MARGIN)).view(np.int8)
+            - (dist < min_sep * (1 - SAMPLE_MARGIN)))
+
+
+def _separated(cand: np.ndarray, accepted: np.ndarray, min_sep: float, angular: bool) -> bool:
+    """The one-candidate test, whose arithmetic decides the unsure pairs."""
+    if angular:
+        return bool(np.arccos(np.clip(accepted @ cand, -1.0, 1.0)).min() >= min_sep)
+    return bool(np.linalg.norm(accepted - cand, axis=1).min() >= min_sep)
+
+
+def sample_separated(propose: Callable[[int], np.ndarray], count: int, d: int,
+                     min_sep: float, angular: bool, what: str) -> np.ndarray:
+    """Rejection-sample `count` points of R^d from `propose`, pairwise separated.
+
+    `propose(k)` returns the next k candidates as a (k, d) array, the same
+    rows that k calls for one candidate each would have returned. A
+    candidate closer than min_sep to any accepted point is rejected; the
     separation is the angle between unit vectors when `angular`, else the
     Euclidean distance. The budget is REJECTIONS_PER_POINT * count
     rejections, after which InfeasibleGenerationError names `what`.
+
+    Candidates are tested in batches, each against the points accepted
+    before it in blocks of at most SCAN_BLOCK values, but every decision is
+    the one-candidate loop's: a pair within SAMPLE_MARGIN of min_sep is
+    decided by `_separated` against exactly the points that loop would have
+    accepted by then. No batch reaches past the last candidate that loop
+    must draw, so the caller's generator ends in the same state.
     """
     budget = REJECTIONS_PER_POINT * count
     accepted = np.empty((count, d))
-    # distance scratch, allocated once: a fresh (placed, d) array per
-    # candidate is mapped and unmapped by malloc each time, and every
-    # candidate then pays page faults for it
-    diff = np.empty((count, d))
-    dist = np.empty(count)
     placed = 0
     rejections = 0
     attempts = 0
     while placed < count:
-        cand = propose()
-        attempts += 1
-        if placed > 0:
-            if angular:
-                cos = np.clip(accepted[:placed] @ cand, -1.0, 1.0)
-                ok = np.arccos(cos).min() >= min_sep
-            else:
-                # the arithmetic of np.linalg.norm(accepted[:placed] - cand, axis=1)
-                sq = np.subtract(accepted[:placed], cand, out=diff[:placed])
-                np.multiply(sq, sq, out=sq)
-                dc = np.add.reduce(sq, axis=1, out=dist[:placed])
-                ok = np.sqrt(dc, out=dc).min() >= min_sep
-            if not ok:
+        k = min(count - placed, budget + 1 - rejections, PROPOSAL_BATCH,
+                max(1, math.isqrt(SCAN_BLOCK)))
+        cands = propose(k)
+        # each candidate's verdict against the points accepted before the batch
+        verdicts = np.full(k, _FAR, dtype=np.int8)
+        step = max(1, SCAN_BLOCK // k)
+        for i0 in range(0, placed, step):
+            block = _pair_verdicts(cands, accepted[i0:min(i0 + step, placed)], min_sep, angular)
+            np.minimum(verdicts, block.min(axis=1), out=verdicts)
+        within = _pair_verdicts(cands, cands, min_sep, angular)
+        # candidates not surely far from every earlier one in the batch
+        crowded = np.tril(within != _FAR, k=-1).any(axis=1)
+        taken = []  # batch indices accepted so far
+        for j, (verdict, near) in enumerate(zip(verdicts.tolist(), crowded.tolist())):
+            attempts += 1
+            if near and verdict != _CLOSE and taken:
+                verdict = min(verdict, int(within[j, taken].min()))
+            if verdict == _UNSURE:
+                verdict = _FAR if _separated(cands[j], accepted[:placed], min_sep, angular) else _CLOSE
+            if verdict == _CLOSE:
                 rejections += 1
                 if rejections > budget:
                     raise InfeasibleGenerationError(
@@ -266,8 +314,9 @@ def sample_separated(propose: Callable[[], np.ndarray], count: int, d: int,
                         f"of {count} at separation {min_sep:.4g} in d={d}"
                     )
                 continue
-        accepted[placed] = cand
-        placed += 1
+            accepted[placed] = cands[j]
+            placed += 1
+            taken.append(j)
     return accepted
 
 
@@ -285,9 +334,10 @@ def generate_separated_dataset(n: int, d: int, mode: SeparationMode, seed) -> Da
         raise ValueError("angular mode needs d >= 2")
     rng = _as_rng(seed)
     if mode.is_angular:
-        propose = lambda: sample_sphere_uniform(d, 1.0, 1, rng)[0]
+        propose = lambda k: sample_sphere_uniform(d, 1.0, k, rng)
     else:
-        propose = lambda: _sample_unit_ball(rng, d)[0]
+        # the normal and uniform draws of consecutive points interleave
+        propose = lambda k: np.concatenate([_sample_unit_ball(rng, d) for _ in range(k)])
     points = sample_separated(propose, n, d, mode.delta, mode.is_angular,
                               f"{mode.kind}-separated points")
     labels = rng.integers(0, 2, size=n)
@@ -312,15 +362,37 @@ def _as_rng(seed) -> np.random.Generator:
 # integer `cluster` column.
 
 
+#: save_dataset_csv formats and writes this many feature values at a time.
+WRITE_BLOCK = 1 << 16
+
+
 def save_dataset_csv(ds: Dataset, path, clusters=None) -> None:
-    """Write `ds`, with a trailing cluster column when `clusters` is given."""
+    """Write `ds`, with a trailing cluster column when `clusters` is given.
+
+    The bytes are those of csv.writer's default dialect: fields joined by
+    commas, CRLF line ends, features as repr() of the float (never quoted,
+    since no repr holds a comma, quote or line break) and labels and
+    cluster ids as plain integers. Rows are formatted and written in blocks
+    of about WRITE_BLOCK values.
+    """
+    if clusters is not None:
+        clusters = np.asarray(clusters, dtype=np.int64)
+        if clusters.shape != (ds.n,):
+            raise ValueError(f"clusters must hold one id per point: {ds.n} points, "
+                             f"clusters of shape {clusters.shape}")
+    header = ["label"] + [f"f{j + 1}" for j in range(ds.dim)]
+    rows = max(1, WRITE_BLOCK // ds.dim)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["label"] + [f"f{j + 1}" for j in range(ds.dim)]
-        writer.writerow(header if clusters is None else header + ["cluster"])
-        for i in range(ds.n):
-            row = [int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]]
-            writer.writerow(row if clusters is None else row + [int(clusters[i])])
+        fh.write(",".join(header if clusters is None else header + ["cluster"]) + "\r\n")
+        for i0 in range(0, ds.n, rows):
+            labels = ds.labels[i0:i0 + rows].tolist()
+            feats = ds.features[i0:i0 + rows].tolist()
+            if clusters is None:
+                fh.writelines(f"{y},{','.join(map(repr, x))}\r\n" for y, x in zip(labels, feats))
+            else:
+                ids = clusters[i0:i0 + rows].tolist()
+                fh.writelines(f"{y},{','.join(map(repr, x))},{c}\r\n"
+                              for y, x, c in zip(labels, feats, ids))
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -357,10 +429,18 @@ def _read_dataset_csv(path, cluster_ok: bool):
             if row[0] not in ("0", "1"):
                 raise ValueError(f"{path}:{row_no}: label must be 0 or 1, got {row[0]!r}")
             labels.append(int(row[0]))
-            feats.append([float(v) for v in row[1:d + 1]])
-            if has_cluster:
-                clusters.append(int(row[-1]))
+            try:
+                feats.append([float(v) for v in row[1:d + 1]])
+                if has_cluster:
+                    clusters.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{row_no}: {exc}") from None
     if not feats:
         raise ValueError(f"{path}: dataset has no rows")
-    ds = Dataset(np.array(feats), np.array(labels))
+    feats = np.array(feats)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        row_no = int(np.argmin(finite)) + 2
+        raise ValueError(f"{path}:{row_no}: features must be finite")
+    ds = Dataset(feats, np.array(labels))
     return ds, np.array(clusters, dtype=np.int64) if has_cluster else None

@@ -112,18 +112,19 @@ def _tangent_basis(center: np.ndarray) -> np.ndarray:
 
 
 def _sphere_proposal(rng, d: int, radius: float):
-    """Draws of a uniform point on the radius-r sphere in R^d.
+    """Draws of uniform points on the radius-r sphere in R^d, for
+    sample_separated.
 
     Normalizes one 1-D Gaussian at a time; sample_sphere_uniform's
     row-wise norm rounds differently and would change every instance.
     """
-    def propose():
+    def one():
         while True:
             v = rng.standard_normal(d)
             norm = np.linalg.norm(v)
             if norm != 0:
                 return v * (radius / norm)
-    return propose
+    return lambda k: np.array([one() for _ in range(k)])
 
 
 def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDataset:

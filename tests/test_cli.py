@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshmem import construct
 from threshmem.cli import main
@@ -169,6 +173,95 @@ def test_lowerbound_output_is_pinned(tmp_path, n, d, delta, digest):
     assert run(["lowerbound", "--n", n, "--d", d, "--delta", delta, "--seed", 1,
                 "--out", path]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode, d, delta, digest", [
+    ("distance", 4, 0.2, "ad1bd165c5ca85efb4c75f5024f39843199e8d11068b920f7a784ad12731a558"),
+    ("angular", 3, 0.07, "d7c468a416c2ed1b12646ee20ae833f119c511aeea89a08091ecdd28a1500ab0"),
+])
+def test_multi_batch_generate_output_is_pinned(tmp_path, mode, d, delta, digest):
+    # pinned from the one-candidate-at-a-time sampler; these draws span
+    # several batches with many rejections (1,680 distance, 1,943 angular)
+    path = tmp_path / "ds.csv"
+    assert run(["generate", "--n", 1024, "--d", d, "--delta", delta, "--seed", 5,
+                "--mode", mode, "--out", path]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("nan", "features must be finite"),
+    ("1e400", "features must be finite"),
+])
+def test_build_names_file_and_row_of_bad_feature_cell(tmp_path, small_dataset, capsys,
+                                                      cell, message):
+    lines = small_dataset.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[3] = cell
+    lines[2] = ",".join(fields)
+    small_dataset.write_text("\n".join(lines) + "\n")
+    code = run(["build", "--dataset", small_dataset, "--delta", 0.3,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"] == f"{small_dataset}:3: {message}"
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A small dataset CSV and the network built from it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data, net = root / "ds.csv", root / "net.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(["generate", "--n", 8, "--d", 3, "--mode", "distance", "--delta", 0.3,
+                    "--seed", 5, "--out", data]) == 0
+        assert run(["build", "--dataset", data, "--delta", 0.3, "--seed", 1,
+                    "--out", net, "--report", root / "r.json"]) == 0
+    return root, data.read_text().splitlines(), net
+
+
+@st.composite
+def faulty_csv(draw, lines):
+    """The dataset CSV `lines` with one fault; each fault makes it invalid."""
+    fault = draw(st.sampled_from(["truncated", "fields", "label", "text", "nonfinite"]))
+    if fault == "truncated":
+        # cut a line before its last comma, so it keeps too few fields (or,
+        # in the header, no data rows follow)
+        row = draw(st.integers(0, len(lines) - 1))
+        cut = draw(st.integers(0 if row == 0 else 1, lines[row].rindex(",")))
+        return "\n".join(lines[:row] + [lines[row][:cut]])
+    lines = list(lines)
+    row = draw(st.integers(1, len(lines) - 1))
+    fields = lines[row].split(",")
+    if fault == "fields":
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["0.5"]
+    elif fault == "label":
+        fields[0] = draw(st.sampled_from(["2", "-1", "", "x", "0.0", " 1", "true"]))
+    else:
+        column = draw(st.integers(1, len(fields) - 1))
+        bad = (["abc", "", "--1", "1e", "0..5", "1 2", "0x1"] if fault == "text"
+               else ["nan", "NaN", "inf", "-inf", "1e400", "-1e999"])
+        fields[column] = draw(st.sampled_from(bad))
+    lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_faulty_dataset_csv_gives_one_error_line(fuzz_base, data):
+    root, lines, net = fuzz_base
+    path = root / "faulty.csv"
+    path.write_text(data.draw(faulty_csv(lines)))
+    for argv in (["build", "--dataset", path, "--delta", 0.3, "--seed", 1,
+                  "--out", root / "net2.json", "--report", root / "r2.json"],
+                 ["eval", "--network", net, "--dataset", path,
+                  "--out", root / "preds.csv", "--summary", root / "summary.json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (1, 2)
+        [line] = out.getvalue().splitlines()
+        assert json.loads(line)["error"]["code"] == code
 
 
 def test_separate_rejects_non_bit_label(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -222,6 +223,42 @@ def test_csv_cluster_column(tmp_path):
         load_clustered_csv(path)
 
 
+def reference_save_dataset_csv(ds, path, clusters=None):
+    """The writer before it streamed blocks: csv.writer, one value at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["label"] + [f"f{j + 1}" for j in range(ds.dim)]
+        writer.writerow(header if clusters is None else header + ["cluster"])
+        for i in range(ds.n):
+            row = [int(ds.labels[i])] + [repr(float(v)) for v in ds.features[i]]
+            writer.writerow(row if clusters is None else row + [int(clusters[i])])
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.booleans(), st.sampled_from([1, 2, 7, 64]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_csv_writer_matches_csv_module(tmp_path_factory, n, d, with_clusters, block, data):
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    X = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    clusters = (data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n))
+                if with_clusters else None)
+    ds = Dataset(X, labels)
+    out = tmp_path_factory.mktemp("csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "WRITE_BLOCK", block)  # rows span several blocks
+        save_dataset_csv(ds, out / "got.csv", clusters=clusters)
+    reference_save_dataset_csv(ds, out / "want.csv", clusters=clusters)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("clusters", [[4], [4, 7, 9], [[4, 7]]])
+def test_csv_cluster_column_needs_one_id_per_point(tmp_path, clusters):
+    ds = Dataset([[0.1, 0.2], [0.3, -0.1]], [0, 1])
+    with pytest.raises(ValueError, match="one id per point"):
+        save_dataset_csv(ds, tmp_path / "cds.csv", clusters=clusters)
+
+
 def test_dataset_immutable():
     ds = Dataset([[0.1, 0.2]], [1])
     with pytest.raises(ValueError):
@@ -341,3 +378,115 @@ def test_blocked_scan_memory_is_bounded():
         tracemalloc.stop()
     assert verdict.worst_pair is not None
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The batched rejection sampler against the one-candidate loop it replaced
+
+
+def reference_sample_separated(propose, count, d, min_sep, angular, what):
+    """The sampler before batching: `propose()` returns one candidate, which
+    is tested against every accepted point before the next is drawn."""
+    budget = geometry.REJECTIONS_PER_POINT * count
+    accepted = np.empty((count, d))
+    diff = np.empty((count, d))
+    dist = np.empty(count)
+    placed = 0
+    rejections = 0
+    attempts = 0
+    while placed < count:
+        cand = propose()
+        attempts += 1
+        if placed > 0:
+            if angular:
+                cos = np.clip(accepted[:placed] @ cand, -1.0, 1.0)
+                ok = np.arccos(cos).min() >= min_sep
+            else:
+                sq = np.subtract(accepted[:placed], cand, out=diff[:placed])
+                np.multiply(sq, sq, out=sq)
+                dc = np.add.reduce(sq, axis=1, out=dist[:placed])
+                ok = np.sqrt(dc, out=dc).min() >= min_sep
+            if not ok:
+                rejections += 1
+                if rejections > budget:
+                    raise InfeasibleGenerationError(
+                        f"gave up sampling {what} after {attempts} candidate draws "
+                        f"({rejections} rejections) while placing point {placed + 1} "
+                        f"of {count} at separation {min_sep:.4g} in d={d}"
+                    )
+                continue
+        accepted[placed] = cand
+        placed += 1
+    return accepted
+
+
+def _lattice(angular, d, min_sep, extra, seed):
+    """Candidate rows spaced min_sep apart along each axis (distance) or
+    each angle (angular) of a d-dimensional lattice, so many pairs sit on
+    the threshold. With `extra` dimensions the lattice is turned into a
+    random frame of R^(d + extra), where blocked and one-candidate sums
+    round differently."""
+    steps = np.arange(-2, 3)
+    if not angular:
+        rows = min_sep * np.stack(np.meshgrid(*[steps] * d), axis=-1).reshape(-1, d)
+    elif d == 2:
+        rows = np.stack([np.cos(steps * min_sep), np.sin(steps * min_sep)], axis=1)
+    else:
+        a, b = (g.ravel() * min_sep for g in np.meshgrid(steps, steps))
+        rows = np.stack([np.cos(a) * np.cos(b), np.sin(a) * np.cos(b), np.sin(b)], axis=1)
+    if extra:
+        frame = special_ortho_group.rvs(d + extra, random_state=seed)[:d]
+        rows = rows @ frame
+    return rows
+
+
+def _outcome(sample, propose, rng, count, d, min_sep, angular):
+    try:
+        result = sample(propose, count, d, min_sep, angular, "test points").tobytes()
+    except InfeasibleGenerationError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@given(angular=st.booleans(), lattice=st.booleans(), d=st.integers(2, 3),
+       extra=st.sampled_from([0, 7, 15]), min_sep=st.sampled_from([0.1, 0.3, 1 / 3, 0.7]),
+       count=st.integers(1, 24), patience=st.integers(1, 4), batch=st.integers(1, 8),
+       block=st.sampled_from([1, 2, 3, 5, 16, 64]), seed=st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_batched_sampler_matches_one_candidate_loop(angular, lattice, d, extra, min_sep, count,
+                                                    patience, batch, block, seed):
+    if lattice:
+        rows = _lattice(angular, d, min_sep, extra, seed)
+        d += extra
+        draw = lambda rng: rows[rng.integers(len(rows))]
+    elif angular:
+        draw = lambda rng: sample_sphere_uniform(d, 1.0, 1, rng)[0]
+    else:
+        draw = lambda rng: geometry._sample_unit_ball(rng, d)[0]
+    one_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # a small budget reaches the infeasible path; small batches and
+        # blocks put accepted points in earlier batches and blocks
+        mp.setattr(geometry, "REJECTIONS_PER_POINT", patience)
+        mp.setattr(geometry, "PROPOSAL_BATCH", batch)
+        mp.setattr(geometry, "SCAN_BLOCK", block)
+        expected = _outcome(reference_sample_separated, lambda: draw(one_rng), one_rng,
+                            count, d, min_sep, angular)
+        got = _outcome(geometry.sample_separated,
+                       lambda k: np.array([draw(batch_rng) for _ in range(k)]), batch_rng,
+                       count, d, min_sep, angular)
+    assert got == expected
+
+
+def test_batched_sampler_memory_is_bounded():
+    # one batch against 8192 accepted points would be 16 MB of pair values
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        geometry.sample_separated(lambda k: sample_sphere_uniform(8, 1.0, k, rng),
+                                  8192, 8, 1e-3, True, "test points")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the accepted points (0.5 MB) plus a few blocks of SCAN_BLOCK values
+    assert peak < 8 * 2**20
