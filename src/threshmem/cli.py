@@ -178,11 +178,10 @@ def cmd_eval(args) -> int:
     if ds.dim != net.input_dim:
         raise ValueError(f"dataset dim {ds.dim} != network input dim {net.input_dim}")
     preds = netcore.forward_batch(net, ds.features)
+    # the bytes of csv.writer's default dialect: bare commas, CRLF ends
+    rows = zip(range(ds.n), ds.labels.tolist(), preds.tolist())
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "prediction"])
-        for i in range(ds.n):
-            writer.writerow([i, int(ds.labels[i]), int(preds[i])])
+        fh.write("index,label,prediction\r\n" + "".join(f"{i},{y},{p}\r\n" for i, y, p in rows))
     correct = int((preds == ds.labels).sum())
     summary = {"n": ds.n, "correct": correct, "accuracy": correct / ds.n}
     _write_json(args.summary, summary)

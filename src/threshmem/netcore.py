@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -479,51 +480,94 @@ def audit(net: ThresholdNetwork) -> NetworkAudit:
 # Entries are sorted by (row, col); zero-valued entries are omitted.
 # Integer values serialize as JSON ints (bit-exact round trip); real values
 # serialize as shortest round-trip decimals.
+#
+# serialize writes one canonical form: compact separators, the keys in the
+# order above, each integer layer's text formatted straight from its CSR
+# arrays and each real layer's through json. deserialize first tries a
+# strict reader of that form, which parses integer layers into int64
+# arrays with no Python object per entry and accepts one only if the
+# writer gives back its bytes exactly. Any other document, valid or not,
+# goes to the general reader, which parses with json and checks every
+# rule; it alone names the first error.
+
+#: The canonical text around one integer layer's entries and biases, and
+#: the patterns the canonical reader matches it and the document with.
+_INTEGER_LAYER = b'{"domain":"integer","rows":%d,"cols":%d,"entries":[%s],"bias":[%s]}'
+_DOC_HEAD = re.compile(rb'\{"input_dim":([1-9][0-9]{0,18}),"layers":\[')
+_INTEGER_HEAD = re.compile(
+    rb'\{"domain":"integer","rows":([1-9][0-9]{0,18}),"cols":([1-9][0-9]{0,18}),"entries":\[')
+_REAL_HEAD = b'{"domain":"real",'
 
 
-@contextmanager
-def _gc_paused():
-    """Pause cyclic garbage collection for the duration of the block.
+def _decimal_cells(x: np.ndarray) -> np.ndarray:
+    """(n,) integers as an (n, w) uint8 matrix: each value's decimal text
+    right-aligned, after a '-' column if any value is negative, and zero
+    bytes wherever a shorter value leaves a cell empty."""
+    neg = x < 0
+    mag = x.astype(np.uint64)  # -v wraps to 2^64 - |v|; negating that gives |v|
+    np.negative(mag, out=mag, where=neg)
+    top = int(mag.max(initial=0))
+    if top <= np.iinfo(np.uint32).max:
+        mag = mag.astype(np.uint32)  # narrower division, same digits
+    sign, digits = int(neg.any()), len(str(top))
+    cells = np.zeros((sign + digits, x.size), dtype=np.uint8)
+    if sign:
+        cells[0, neg] = ord("-")
+    for k in range(sign + digits - 1, sign - 1, -1):
+        q = mag // 10
+        cells[k] = mag - q * 10 + ord("0")
+        if k < sign + digits - 1:
+            cells[k] *= mag > 0  # a leading zero is no digit
+        mag = q
+    return cells.T
 
-    A network document holds hundreds of thousands of small entry lists,
-    none of them in a reference cycle. Collections triggered while they
-    are allocated free nothing, yet rescan the whole growing document; on
-    the largest networks that took about a third of serialize and of
-    deserialize.
+
+def _int_text(fields: Sequence[np.ndarray], open_: bytes = b"", close: bytes = b"") -> bytes:
+    """Rows of the parallel integer vectors `fields` as json writes them,
+    with no Python object per value: each row is open_, its values joined
+    by commas and close, and the rows are joined by commas.
+
+    Every row is laid out in one uint8 matrix at fixed columns, and one
+    boolean compaction drops the empty cells.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    layout = [open_]
+    for k, x in enumerate(fields):
+        layout += [_decimal_cells(x), b"," if k < len(fields) - 1 else close + b","]
+    blocks = [np.frombuffer(b, dtype=np.uint8) if isinstance(b, bytes) else b for b in layout]
+    widths = [b.shape[-1] for b in blocks]
+    out = np.zeros((len(fields[0]), sum(widths)), dtype=np.uint8)
+    for block, stop, width in zip(blocks, np.cumsum(widths).tolist(), widths):
+        out[:, stop - width : stop] = block
+    return out[out != 0].tobytes()[:-1]  # the last row's trailing comma
 
 
-@_gc_paused()
-def serialize(net: ThresholdNetwork) -> bytes:
-    doc = {"input_dim": net.input_dim, "layers": []}
-    for layer in net.layers:
-        if layer.domain == REAL:
-            rows, cols = np.nonzero(layer.weights)
-            vals = layer.weights[rows, cols]
-            entries = list(map(list, zip(rows.tolist(), cols.tolist(), vals.tolist())))
-        else:
-            # the constructor leaves the CSR canonical: row-major, columns
-            # sorted within each row, no duplicates
-            W = layer.weights
-            rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-            entries = np.column_stack((rows, W.indices, W.data)).tolist()
-        doc["layers"].append(
-            {
-                "domain": layer.domain,
-                "rows": int(layer.out_dim),
-                "cols": int(layer.in_dim),
-                "entries": entries,
-                "bias": layer.biases.tolist(),
-            }
-        )
+def _integer_layer_text(layer: ThresholdLayer) -> bytes:
+    # the constructor leaves the CSR canonical: row-major, columns sorted
+    # within each row, no duplicates
+    W = layer.weights
+    rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    return _INTEGER_LAYER % (W.shape[0], W.shape[1], _int_text((rows, W.indices, W.data), b"[", b"]"),
+                             _int_text((layer.biases,)))
+
+
+def _real_layer_text(layer: ThresholdLayer) -> bytes:
+    rows, cols = np.nonzero(layer.weights)
+    vals = layer.weights[rows, cols]
+    doc = {
+        "domain": REAL,
+        "rows": int(layer.out_dim),
+        "cols": int(layer.in_dim),
+        "entries": list(map(list, zip(rows.tolist(), cols.tolist(), vals.tolist()))),
+        "bias": layer.biases.tolist(),
+    }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def serialize(net: ThresholdNetwork) -> bytes:
+    layers = [_integer_layer_text(layer) if layer.is_integer else _real_layer_text(layer)
+              for layer in net.layers]
+    return b'{"input_dim":%s,"layers":[%s]}' % (json.dumps(net.input_dim).encode("utf-8"),
+                                                  b",".join(layers))
 
 
 def _expect(cond: bool, where: str, what: str):
@@ -626,61 +670,181 @@ def _raise_first_bad_entry(entries: list, rows_n: int, cols_n: int, domain: str,
     raise RuntimeError(f"{where}.entries: rejected as a whole, but no entry breaks a rule")
 
 
-@_gc_paused()
-def deserialize(data: bytes) -> ThresholdNetwork:
+def _load_layer(entry, where: str, doc_bytes: int) -> ThresholdLayer:
+    """One parsed layer object as a ThresholdLayer; SerializationError names
+    the first rule it breaks."""
+    _expect(isinstance(entry, dict), where, "layer must be an object")
+    domain = entry.get("domain")
+    _expect(domain in (REAL, INTEGER), f"{where}.domain", f"must be 'real' or 'integer', got {domain!r}")
+    rows_n = entry.get("rows")
+    cols_n = entry.get("cols")
+    for key, size in (("rows", rows_n), ("cols", cols_n)):
+        _expect(isinstance(size, int) and 1 <= size <= _INT64_MAX, f"{where}.{key}",
+                "must be a positive integer that fits in int64")
+    # a real layer is stored densely; a document that declares one larger
+    # than itself cannot hold its weights, and would only exhaust memory
+    _expect(domain == INTEGER or rows_n * cols_n <= doc_bytes, where,
+            f"a real layer of {rows_n} x {cols_n} weights does not fit "
+            f"in a {doc_bytes}-byte document")
+    bias = entry.get("bias")
+    _expect(isinstance(bias, list) and len(bias) == rows_n, f"{where}.bias", f"must be a list of length {rows_n}")
+    entries = entry.get("entries")
+    _expect(isinstance(entries, list), f"{where}.entries", "must be a list")
+    arrays = _entry_arrays(entries, rows_n, cols_n, domain)
+    if arrays is None:
+        _raise_first_bad_entry(entries, rows_n, cols_n, domain, where)
+    rows, cols, vals = arrays
+    if domain == REAL:
+        _expect(set(map(type, bias)) <= _NUMBER_TYPES, f"{where}.bias", "must be numbers")
+        b = _finite_float_array(bias)
+        _expect(b is not None, f"{where}.bias", "must be finite float64 numbers")
+        W = np.zeros((rows_n, cols_n))
+        W[rows, cols] = vals
+        return ThresholdLayer.real(W, b)
+    _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
+    b = _int64_array(bias)
+    _expect(b is not None, f"{where}.bias", "integers must fit in int64")
     try:
-        doc = json.loads(data)
+        return ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b)
+    except ValueError as exc:
+        raise SerializationError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection for the duration of the block.
+
+    json.loads of a network document allocates hundreds of thousands of
+    small entry lists, none of them in a reference cycle. Collections
+    triggered while they are allocated free nothing, yet rescan the whole
+    growing document; they took about a third of the general reader's
+    json.loads on the benchmark's networks.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_general(data: bytes) -> ThresholdNetwork:
+    """Any JSON document of the network shape; raises SerializationError
+    naming the first rule it breaks."""
+    try:
+        with _gc_paused():
+            doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SerializationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise SerializationError(
+            f"invalid {exc.encoding} text at byte {exc.start}: {exc.reason}") from exc
     _expect(isinstance(doc, dict), "$", "document must be an object")
     _expect(isinstance(doc.get("input_dim"), int), "$.input_dim", "missing or non-integer")
     raw_layers = doc.get("layers")
     _expect(isinstance(raw_layers, list) and raw_layers, "$.layers", "missing or empty list")
-    layers = []
-    for li, entry in enumerate(raw_layers):
-        where = f"$.layers[{li}]"
-        _expect(isinstance(entry, dict), where, "layer must be an object")
-        domain = entry.get("domain")
-        _expect(domain in (REAL, INTEGER), f"{where}.domain", f"must be 'real' or 'integer', got {domain!r}")
-        rows_n = entry.get("rows")
-        cols_n = entry.get("cols")
-        for key, size in (("rows", rows_n), ("cols", cols_n)):
-            _expect(isinstance(size, int) and 1 <= size <= _INT64_MAX, f"{where}.{key}",
-                    "must be a positive integer that fits in int64")
-        # a real layer is stored densely; a document that declares one larger
-        # than itself cannot hold its weights, and would only exhaust memory
-        _expect(domain == INTEGER or rows_n * cols_n <= len(data), where,
-                f"a real layer of {rows_n} x {cols_n} weights does not fit "
-                f"in a {len(data)}-byte document")
-        bias = entry.get("bias")
-        _expect(isinstance(bias, list) and len(bias) == rows_n, f"{where}.bias", f"must be a list of length {rows_n}")
-        entries = entry.get("entries")
-        _expect(isinstance(entries, list), f"{where}.entries", "must be a list")
-        arrays = _entry_arrays(entries, rows_n, cols_n, domain)
-        if arrays is None:
-            _raise_first_bad_entry(entries, rows_n, cols_n, domain, where)
-        rows, cols, vals = arrays
-        if domain == REAL:
-            _expect(set(map(type, bias)) <= _NUMBER_TYPES, f"{where}.bias", "must be numbers")
-            b = _finite_float_array(bias)
-            _expect(b is not None, f"{where}.bias", "must be finite float64 numbers")
-            W = np.zeros((rows_n, cols_n))
-            W[rows, cols] = vals
-            layers.append(ThresholdLayer.real(W, b))
-        else:
-            _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
-            b = _int64_array(bias)
-            _expect(b is not None, f"{where}.bias", "integers must fit in int64")
-            try:
-                layers.append(ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b))
-            except ValueError as exc:
-                raise SerializationError(f"{where}: {exc}") from exc
+    layers = [_load_layer(entry, f"$.layers[{li}]", len(data)) for li, entry in enumerate(raw_layers)]
     try:
         return ThresholdNetwork(layers, input_dim=doc["input_dim"])
     except ValueError as exc:
         raise SerializationError(f"$.layers: {exc}") from exc
+
+
+def _parse_ints(text: bytes) -> Optional[np.ndarray]:
+    """Comma-separated integers as int64, or None where numpy cannot read
+    them all. numpy also reads forms json does not write ('01', '+1', ' 1')
+    and saturates past int64, so callers re-encode what it returns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _read_integer_layer(data: bytes, pos: int):
+    """(layer, end) for the canonical integer layer at data[pos:end], or None."""
+    head = _INTEGER_HEAD.match(data, pos)
+    if head is None:
+        return None
+    rows_n, cols_n = int(head[1]), int(head[2])
+    e0 = head.end()
+    e1 = data.find(b'],"bias":[', e0)
+    if e1 < 0 or max(rows_n, cols_n) > _INT64_MAX:
+        return None
+    b0 = e1 + len(b'],"bias":[')
+    b1 = data.find(b"]}", b0)
+    if b1 < 0:
+        return None
+    entries, bias = _parse_ints(data[e0:e1].translate(None, b"[]")), _parse_ints(data[b0:b1])
+    if entries is None or bias is None or entries.size % 3 or bias.size != rows_n:
+        return None
+    rows, cols, vals = entries.reshape(-1, 3).T
+    # re-encoding gives back the text only if it is canonical: no leading
+    # zero, '+', '-0' or space, every entry of length 3, nothing past int64
+    view = memoryview(data)
+    if (_int_text((rows, cols, vals), b"[", b"]") != view[e0:e1]
+            or _int_text((bias,)) != view[b0:b1]):
+        return None
+    if rows.size and (rows.min() < 0 or rows.max() >= rows_n or cols.min() < 0
+                      or cols.max() >= cols_n or not vals.all()):
+        return None
+    # (row, col) strictly increasing: sorted, and no entry repeated
+    if not ((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))).all():
+        return None
+    try:
+        layer = ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, bias)
+    except ValueError:
+        return None
+    return layer, b1 + 2
+
+
+def _read_canonical(data: bytes) -> Optional[ThresholdNetwork]:
+    """The network in a document exactly as serialize writes it, or None.
+
+    Accepts only what the general reader accepts, and then the same
+    network; a real layer goes through the general reader's own checks.
+    """
+    head = _DOC_HEAD.match(data) if isinstance(data, bytes) else None
+    if head is None:
+        return None
+    pos, layers = head.end(), []
+    while True:
+        if data.startswith(_REAL_HEAD, pos):
+            # serialize writes no '}' inside a real layer (no string, no
+            # object), and a prefix of an object's text that parses as an
+            # object is all of it
+            end = data.find(b"}", pos) + 1
+            try:
+                layer = _load_layer(json.loads(data[pos:end]), "", len(data))
+            except ValueError:
+                return None
+        else:
+            found = _read_integer_layer(data, pos)
+            if found is None:
+                return None
+            layer, end = found
+        layers.append(layer)
+        if data.startswith(b",", end):
+            pos = end + 1
+        elif end == len(data) - 2 and data.endswith(b"]}"):
+            break
+        else:
+            return None
+    try:
+        return ThresholdNetwork(layers, input_dim=int(head[1]))
+    except ValueError:
+        return None
+
+
+def deserialize(data: bytes) -> ThresholdNetwork:
+    """The network in a JSON document; SerializationError names the first
+    rule a bad document breaks."""
+    net = _read_canonical(data)
+    return net if net is not None else _read_general(data)
 
 
 def save_network(net: ThresholdNetwork, path) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ def test_multi_batch_generate_output_is_pinned(tmp_path, mode, d, delta, digest)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, digest", [
+    ("distance", "e2d317a3d37210e93add023d7c79eae26411f7000eb9763546857b529154918b"),
+    ("angular", "5e8739a97d80e585c08471b4e64b4e543bde0f6870f690330cf85f5a2b79a75e"),
+])
+def test_build_output_is_pinned(tmp_path, mode, digest):
+    # pinned from the json.dumps writer; five-digit rows and columns and
+    # negative weights, in some 25 layers
+    data, net = tmp_path / "ds.csv", tmp_path / "net.json"
+    assert run(["generate", "--n", 256, "--d", 16, "--delta", 0.1, "--seed", 5,
+                "--mode", mode, "--out", data]) == 0
+    assert run(["build", "--dataset", data, "--mode", mode, "--delta", 0.1, "--seed", 1,
+                "--out", net, "--report", tmp_path / "r.json"]) == 0
+    assert hashlib.sha256(net.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("cell, message", [
     ("abc", "could not convert string to float: 'abc'"),
     ("nan", "features must be finite"),
@@ -246,22 +262,73 @@ def faulty_csv(draw, lines):
     return "\n".join(lines) + "\n"
 
 
+def assert_one_error_line(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (1, 2)
+    [line] = out.getvalue().splitlines()
+    assert json.loads(line)["error"]["code"] == code
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_faulty_dataset_csv_gives_one_error_line(fuzz_base, data):
     root, lines, net = fuzz_base
     path = root / "faulty.csv"
     path.write_text(data.draw(faulty_csv(lines)))
-    for argv in (["build", "--dataset", path, "--delta", 0.3, "--seed", 1,
-                  "--out", root / "net2.json", "--report", root / "r2.json"],
-                 ["eval", "--network", net, "--dataset", path,
-                  "--out", root / "preds.csv", "--summary", root / "summary.json"]):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run(argv)
-        assert code in (1, 2)
-        [line] = out.getvalue().splitlines()
-        assert json.loads(line)["error"]["code"] == code
+    assert_one_error_line(["build", "--dataset", path, "--delta", 0.3, "--seed", 1,
+                           "--out", root / "net2.json", "--report", root / "r2.json"])
+    assert_one_error_line(["eval", "--network", net, "--dataset", path,
+                           "--out", root / "preds.csv", "--summary", root / "summary.json"])
+
+
+NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
+
+
+@st.composite
+def faulty_network(draw, blob):
+    """The compact network JSON `blob` with one fault; each fault makes it
+    invalid, as JSON or as a network."""
+    fault = draw(st.sampled_from(["truncated", "flip", "letter", "space", "bracket",
+                                  "duplicate", "token", "zero"]))
+    if fault == "truncated":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if fault == "flip":
+        # flipping the low bit of a non-digit byte breaks the punctuation,
+        # key or string it is part of; flipping the top bit leaves no UTF-8
+        k = draw(st.integers(0, len(blob) - 1))
+        bit = 0x80 if blob[k:k + 1].isdigit() else draw(st.sampled_from([0x01, 0x80]))
+        return blob[:k] + bytes([blob[k] ^ bit]) + blob[k + 1:]
+    if fault in ("letter", "space"):
+        digits = [k for k in range(1, len(blob)) if blob[k - 1:k + 1].isdigit()]
+        k = draw(st.sampled_from(digits))
+        return blob[:k] + (b" " if fault == "space" else b"x") + blob[k + (fault == "letter"):]
+    if fault == "bracket":
+        k = draw(st.sampled_from([k for k, c in enumerate(blob) if c in b"[]"]))
+        return blob[:k] + blob[k + 1:]
+    if fault == "duplicate":
+        i, j = draw(st.sampled_from([m.span() for m in re.finditer(rb"\[[^\[\]]*\]", blob)]))
+        return blob[:j] + b"," + blob[i:j] + blob[j:]
+    if fault == "token":  # json reads none of these as a number
+        i, j = draw(st.sampled_from([m.span() for m in NUMBER.finditer(blob)]))
+        return blob[:i] + draw(st.sampled_from([b"01", b"+1", b"00"])) + blob[j:]
+    # an integer-layer weight of -0, which json reads as a structural zero
+    weights = [m.span(1) for m in re.finditer(rb"(?:\[|\],)\[[0-9]+,[0-9]+,(-?[0-9]+)\]", blob)
+               if blob.rfind(b'"integer"', 0, m.start()) > blob.rfind(b'"real"', 0, m.start())]
+    i, j = draw(st.sampled_from(weights))
+    return blob[:i] + b"-0" + blob[j:]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_faulty_network_json_gives_one_error_line(fuzz_base, data):
+    root, _, net = fuzz_base
+    path = root / "faulty.json"
+    path.write_bytes(data.draw(faulty_network(net.read_bytes())))
+    assert_one_error_line(["eval", "--network", path, "--dataset", root / "ds.csv",
+                           "--out", root / "preds.csv", "--summary", root / "summary.json"])
+    assert_one_error_line(["audit", "--network", path, "--out", root / "audit.json"])
 
 
 def test_separate_rejects_non_bit_label(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,8 @@ from threshmem.netcore import (
     ThresholdLayer,
     ThresholdNetwork,
     ThresholdTieWarning,
+    _read_canonical,
+    _read_general,
     audit,
     deserialize,
     evaluate_layers,
@@ -200,6 +203,11 @@ def test_deserialize_reports_location():
             b'{"input_dim": 1, "layers": [{"domain": "integer", "rows": 1, "cols": 1,'
             b' "entries": [[0, 5, 1]], "bias": [0]}]}'
         )
+    # in compact form, so the canonical reader sees it too: refused before
+    # anything of the declared size is allocated
+    with pytest.raises(SerializationError, match=r"\$\.layers\[0\]\.bias: must be a list of length"):
+        deserialize(b'{"input_dim":1,"layers":[{"domain":"integer","rows":1000000000000000000,'
+                    b'"cols":1,"entries":[],"bias":[0]}]}')
 
 
 def test_deserialize_rejects_integer_layer_float_values():
@@ -370,9 +378,75 @@ def test_deserialize_reports_the_reference_first_error(net, kinds, data):
         return
     expected = reference_entry_error(doc)
     assert expected is not None
-    with pytest.raises(SerializationError) as info:
-        deserialize(json.dumps(doc).encode())
-    assert str(info.value) == expected
+    # the compact form is the one the canonical reader parses
+    for separators in ((", ", ": "), (",", ":")):
+        with pytest.raises(SerializationError) as info:
+            deserialize(json.dumps(doc, separators=separators).encode())
+        assert str(info.value) == expected
+
+
+NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
+ENTRY = re.compile(rb"\[[^\[\]]*\]")
+#: number tokens serialize never writes: forms numpy's integer parser reads
+#: anyway, non-integers, and values at or past the int64 bounds
+ODD_TOKENS = (b"01", b"+1", b"-0", b"00", b" 1", b"1 ", b"1.0", b"1e3", b"0x1",
+              b"99999999999999999999", b"-9223372036854775809", b"9223372036854775807")
+
+
+@st.composite
+def mutated(draw, blob):
+    """`blob` with one byte-level fault; the result may still be valid JSON,
+    even a valid network."""
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "delete", "token",
+                                 "duplicate", "swap", "shift", "tail"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "truncate":
+        return blob[:at]
+    if kind == "tail":
+        return draw(st.sampled_from([blob[:-1], blob[:-2], blob + b" ", blob + b"}", blob + b",{}"]))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ (1 << draw(st.integers(0, 7)))]) + blob[at + 1:]
+    if kind == "insert":
+        return blob[:at] + draw(st.sampled_from([b" ", b"0", b"-", b",", b"[", b"]"])) + blob[at:]
+    if kind == "delete":
+        return blob[:at] + blob[at + 1:]
+    if kind == "token":
+        spans = [m.span() for m in NUMBER.finditer(blob)]
+        i, j = draw(st.sampled_from(spans))
+        return blob[:i] + draw(st.sampled_from(ODD_TOKENS)) + blob[j:]
+    spans = [m.span() for m in ENTRY.finditer(blob)]
+    if not spans:
+        return blob[:at]
+    k = draw(st.integers(0, len(spans) - 1))
+    i, j = spans[k]
+    if kind == "duplicate":
+        return blob[:j] + b"," + blob[i:j] + blob[j:]
+    if kind == "swap" and k + 1 < len(spans) and spans[k + 1][0] == j + 1:
+        i2, j2 = spans[k + 1]
+        return blob[:i] + blob[i2:j2] + b"," + blob[i:j] + blob[j2:]
+    # "shift" (or a swap with no adjacent entry): move an entry's last
+    # value into the next entry, "[a,b],[c,d,e,f]"
+    return blob[:i] + re.sub(rb",([^,]*)\],\[", rb"],[\1,", blob[i:], count=1)
+
+
+def general_or_none(blob):
+    try:
+        return _read_general(blob)
+    except SerializationError:
+        return None
+
+
+@given(networks(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_canonical_reader_equals_general_reader(net, data):
+    blob = serialize(net)
+    assert _read_canonical(blob) == net
+    # the same document, not compact: the canonical reader declines it
+    spaced = json.dumps(json.loads(blob)).encode()
+    assert _read_canonical(spaced) is None and deserialize(spaced) == net
+    bad = data.draw(mutated(blob))
+    fast = _read_canonical(bad)
+    assert fast is None or fast == general_or_none(bad)
 
 
 def _doc(domain, entries, bias, rows=1, cols=2):
@@ -413,6 +487,7 @@ def test_int64_extremes_round_trip():
     out = ThresholdLayer.integer(np.array([[1, 1, 1]]), np.array([-1]))
     net = ThresholdNetwork([layer, out], input_dim=2)
     assert deserialize(serialize(net)) == net
+    assert _read_canonical(serialize(net)) == net  # not the general reader
 
 
 @pytest.mark.parametrize("W, b", [
