@@ -281,6 +281,8 @@ def cmd_sweep(args) -> int:
     if not seeds:
         raise ValueError("sweep needs at least one seed")
 
+    recorded = tuple(cls for cls, code in EXIT_CODES.items()
+                     if code in (EXIT_CONTRACT, EXIT_RETRY))
     rows = []
     widths = []
     for delta_idx, delta in enumerate(deltas):
@@ -303,9 +305,8 @@ def cmd_sweep(args) -> int:
                 )
                 widths.append((delta, report.d1))
             # a cell's bad input or exhausted retries is recorded and the
-            # sweep goes on; an invariant breach ends it
-            except (ValueError, geometry.InfeasibleGenerationError,
-                    construct.ConstructionRetryError) as exc:
+            # sweep goes on; an I/O failure or invariant breach ends it
+            except recorded as exc:
                 row.update(first_layer_neurons="", total_neurons="",
                            total_weights="", retries="", error=str(exc))
             rows.append(row)
@@ -366,10 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["angular", "distance"], default="distance")
     p.add_argument("--delta", type=float)
     _add_seed(p)
-    p.add_argument("--eps1", type=float, default=0.1)
-    p.add_argument("--eps2", type=float, default=0.1)
-    p.add_argument("--c-dist", dest="c_dist", type=float, default=13.0)
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=20)
+    defaults = {f.name: f.default for f in dataclasses.fields(construct.ConstructionConfig)}
+    p.add_argument("--eps1", type=float, default=defaults["eps1"])
+    p.add_argument("--eps2", type=float, default=defaults["eps2"])
+    p.add_argument("--c-dist", dest="c_dist", type=float, default=defaults["c_dist"])
+    p.add_argument("--max-retries", dest="max_retries", type=int, default=defaults["max_retries"])
     p.add_argument("--out")
     p.add_argument("--report")
     p.add_argument("--manifest")

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .geometry import DEFAULT_TOL, Dataset, SeparationMode, check_separation
 from .netcore import (
+    NetworkAudit,
     ThresholdLayer,
     ThresholdNetwork,
+    audit,
     evaluate_layers,
     forward_batch,
 )
@@ -275,7 +277,6 @@ def plan_compression(codes, cfg: ConstructionConfig) -> CompressionResult:
 @dataclass(frozen=True)
 class XorSubnetwork:
     layers: list
-    output_dim: int
     gadget_neurons: int
     padding_neurons: int
 
@@ -355,7 +356,7 @@ def build_xor_subnetwork(plan: CompressionPlan, d1: int) -> XorSubnetwork:
     # c > 0 live bits costs c - 1 nodes of three neurons
     gadget_neurons = 3 * int(live.sum() - np.count_nonzero(live))
     neurons = sum(layer.out_dim for layer in layers)
-    return XorSubnetwork(layers, m, gadget_neurons, neurons - gadget_neurons)
+    return XorSubnetwork(layers, gadget_neurons, neurons - gadget_neurons)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +517,7 @@ class ConstructionReport:
 
     n: int
     input_dim: int
-    mode_kind: str
-    delta: float
-    seed: int
-    eps1: float
-    eps2: float
-    c_dist: float
-    max_retries: int
+    config: ConstructionConfig
     d1: int
     d2: int
     d3: int
@@ -543,16 +538,17 @@ class ConstructionReport:
         return self.total_weight_entries + self.total_biases
 
     def to_json_dict(self) -> dict:
+        cfg = self.config
         return {
             "n": self.n,
             "input_dim": self.input_dim,
-            "mode": self.mode_kind,
-            "delta": self.delta,
-            "seed": self.seed,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "c_dist": self.c_dist,
-            "max_retries": self.max_retries,
+            "mode": cfg.mode.kind,
+            "delta": cfg.mode.delta,
+            "seed": cfg.seed,
+            "eps1": cfg.eps1,
+            "eps2": cfg.eps2,
+            "c_dist": cfg.c_dist,
+            "max_retries": cfg.max_retries,
             "dims": {"d1": self.d1, "d2": self.d2, "d3": self.d3, "K": self.K,
                      "max_subset_size": self.max_subset_size},
             "xor_gadget_neurons": self.xor_gadget_neurons,
@@ -567,15 +563,6 @@ class ConstructionReport:
             },
             "neuron_bound": self.neuron_bound,
         }
-
-
-def _step_record(name: str, layers: Sequence[ThresholdLayer], span) -> StepRecord:
-    neurons = sum(l.out_dim for l in layers)
-    entries = sum(l.weight_entries() for l in layers)
-    biases = sum(l.out_dim for l in layers)
-    int_max = [int(l.max_abs_weight()) for l in layers if l.is_integer]
-    return StepRecord(name, neurons, entries, biases,
-                      max(int_max) if int_max else None, span)
 
 
 def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
@@ -600,13 +587,16 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
     d2 = comp.plan.m
     xor = build_xor_subnetwork(comp.plan, d1)
     part = prefix_partition(comp.compressed)
-    selector = build_selector_layer(part, d2)
-    expansion = build_expansion_layer(part, d2)
-    memor = build_memorization_layer(part, comp.compressed, ds.labels)
-    output = build_output_layer(part.max_subset_size)
-
-    layers = [first.layer, *xor.layers, selector, expansion, memor, output]
-    net = ThresholdNetwork(layers, ds.dim)
+    # the network is these steps' layers in this order
+    steps = [
+        ("first_layer", [first.layer]),
+        ("xor_compression", xor.layers),
+        ("selector", [build_selector_layer(part, d2)]),
+        ("expansion", [build_expansion_layer(part, d2)]),
+        ("memorization", [build_memorization_layer(part, comp.compressed, ds.labels)]),
+        ("output", [build_output_layer(part.max_subset_size)]),
+    ]
+    net = ThresholdNetwork([layer for _, layers in steps for layer in layers], ds.dim)
 
     preds = forward_batch(net, ds.features)
     if not np.array_equal(preds, ds.labels):
@@ -616,28 +606,20 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
             f"got {int(preds[bad])}, expected {int(ds.labels[bad])}"
         )
 
-    xor_end = 1 + len(xor.layers)
-    steps = [
-        _step_record("first_layer", [first.layer], (0, 1)),
-        _step_record("xor_compression", xor.layers, (1, xor_end)),
-        _step_record("selector", [selector], (xor_end, xor_end + 1)),
-        _step_record("expansion", [expansion], (xor_end + 1, xor_end + 2)),
-        _step_record("memorization", [memor], (xor_end + 2, xor_end + 3)),
-        _step_record("output", [output], (xor_end + 3, xor_end + 4)),
-    ]
-    root_n = ceil_sqrt(ds.n)
+    sizes = audit(net)
+    records, start = [], 0
+    for name, layers in steps:
+        end = start + len(layers)
+        size = NetworkAudit.of(sizes.layers[start:end])
+        records.append(StepRecord(name, size.neurons, size.weight_entries, size.bias_count,
+                                  size.max_abs_integer_weight, (start, end)))
+        start = end
     bound = (d1 + 3 * (d1 - 1) * d2 + xor.padding_neurons
-             + (part.K + d2) + part.K * (d2 + 1) + root_n + 1)
+             + (part.K + d2) + part.K * (d2 + 1) + ceil_sqrt(ds.n) + 1)
     report = ConstructionReport(
         n=ds.n,
         input_dim=ds.dim,
-        mode_kind=cfg.mode.kind,
-        delta=cfg.mode.delta,
-        seed=cfg.seed,
-        eps1=cfg.eps1,
-        eps2=cfg.eps2,
-        c_dist=cfg.c_dist,
-        max_retries=cfg.max_retries,
+        config=cfg,
         d1=d1,
         d2=d2,
         d3=part.K * (d2 + 1),
@@ -646,10 +628,10 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
         xor_gadget_neurons=xor.gadget_neurons,
         xor_padding_neurons=xor.padding_neurons,
         retries={"first_layer": first.retries, "compression": comp.retries},
-        steps=steps,
-        total_neurons=sum(s.neurons for s in steps),
-        total_weight_entries=sum(s.weight_entries for s in steps),
-        total_biases=sum(s.biases for s in steps),
+        steps=records,
+        total_neurons=sizes.neurons,
+        total_weight_entries=sizes.weight_entries,
+        total_biases=sizes.bias_count,
         neuron_bound=bound,
     )
     return net, report

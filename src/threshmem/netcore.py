@@ -70,6 +70,9 @@ class ThresholdLayer:
             biases = np.array(biases, dtype=np.float64)
             if weights.ndim != 2:
                 raise ValueError("real weights must be a 2-D array")
+            # a NaN or infinity would be saved as a document load refuses
+            if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+                raise ValueError("real layer weights and biases must be finite")
             weights.flags.writeable = False
             biases.flags.writeable = False
         else:
@@ -439,34 +442,33 @@ class NetworkAudit:
     max_abs_integer_weight: Optional[int]
     layers: tuple[LayerAudit, ...]
 
+    @classmethod
+    def of(cls, layers: Sequence[LayerAudit]) -> "NetworkAudit":
+        """Totals over a run of consecutive layers."""
+        entries = sum(a.weight_entries for a in layers)
+        biases = sum(a.biases for a in layers)
+        return cls(
+            neurons=sum(a.neurons for a in layers),
+            weight_entries=entries,
+            bias_count=biases,
+            weights=entries + biases,
+            max_abs_integer_weight=max((a.max_abs_integer_weight for a in layers
+                                        if a.max_abs_integer_weight is not None), default=None),
+            layers=tuple(layers),
+        )
+
 
 def audit(net: ThresholdNetwork) -> NetworkAudit:
-    per_layer = []
-    for layer in net.layers:
-        max_int = None
-        if layer.is_integer:
-            max_int = int(layer.max_abs_weight())
-        per_layer.append(
-            LayerAudit(
-                domain=layer.domain,
-                neurons=layer.out_dim,
-                weight_entries=layer.weight_entries(),
-                biases=layer.out_dim,
-                max_abs_integer_weight=max_int,
-            )
+    return NetworkAudit.of([
+        LayerAudit(
+            domain=layer.domain,
+            neurons=layer.out_dim,
+            weight_entries=layer.weight_entries(),
+            biases=layer.out_dim,
+            max_abs_integer_weight=int(layer.max_abs_weight()) if layer.is_integer else None,
         )
-    neurons = sum(a.neurons for a in per_layer)
-    entries = sum(a.weight_entries for a in per_layer)
-    biases = sum(a.biases for a in per_layer)
-    int_maxes = [a.max_abs_integer_weight for a in per_layer if a.max_abs_integer_weight is not None]
-    return NetworkAudit(
-        neurons=neurons,
-        weight_entries=entries,
-        bias_count=biases,
-        weights=entries + biases,
-        max_abs_integer_weight=max(int_maxes) if int_maxes else None,
-        layers=tuple(per_layer),
-    )
+        for layer in net.layers
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshmem import construct
-from threshmem.cli import main
+from threshmem.cli import build_parser, main
 from threshmem.geometry import Dataset, save_dataset_csv
 from threshmem.netcore import load_network
 
@@ -46,6 +47,15 @@ def test_generate_build_eval_round_trip(tmp_path, small_dataset, capsys):
     report = read_json(report_path)
     assert report["n"] == 32
     assert report["totals"]["neurons"] <= report["neuron_bound"]
+    audit_path = tmp_path / "audit.json"
+    assert run(["audit", "--network", net_path, "--out", audit_path]) == 0
+    sizes = read_json(audit_path)
+    assert report["totals"] == {"neurons": sizes["neurons"], "weights": sizes["weights"],
+                                "weight_entries": sizes["weight_entries"],
+                                "biases": sizes["bias_count"]}
+    spans = [s["layer_span"] for s in report["steps"]]
+    assert spans[0][0] == 0 and spans[-1][1] == len(sizes["layers"])
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     preds_path = tmp_path / "preds.csv"
     summary_path = tmp_path / "summary.json"
@@ -189,19 +199,23 @@ def test_multi_batch_generate_output_is_pinned(tmp_path, mode, d, delta, digest)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("mode, digest", [
-    ("distance", "e2d317a3d37210e93add023d7c79eae26411f7000eb9763546857b529154918b"),
-    ("angular", "5e8739a97d80e585c08471b4e64b4e543bde0f6870f690330cf85f5a2b79a75e"),
+@pytest.mark.parametrize("mode, digest, report_digest", [
+    ("distance", "e2d317a3d37210e93add023d7c79eae26411f7000eb9763546857b529154918b",
+     "2b0ec7d413a16aac6f76c139ba3a5813e0287fa0fcd972a0a845d4d3ef8ac031"),
+    ("angular", "5e8739a97d80e585c08471b4e64b4e543bde0f6870f690330cf85f5a2b79a75e",
+     "531ad6e6422bf9f7c168004f0a8ad6b502afdedfaf5f3effff5f4ecaad8fbd1f"),
 ])
-def test_build_output_is_pinned(tmp_path, mode, digest):
-    # pinned from the json.dumps writer; five-digit rows and columns and
-    # negative weights, in some 25 layers
-    data, net = tmp_path / "ds.csv", tmp_path / "net.json"
+def test_build_output_is_pinned(tmp_path, mode, digest, report_digest):
+    # the network pinned from the json.dumps writer; five-digit rows and
+    # columns and negative weights, in some 25 layers. The report pinned
+    # from the hand-written step spans and per-step counts
+    data, net, report = tmp_path / "ds.csv", tmp_path / "net.json", tmp_path / "r.json"
     assert run(["generate", "--n", 256, "--d", 16, "--delta", 0.1, "--seed", 5,
                 "--mode", mode, "--out", data]) == 0
     assert run(["build", "--dataset", data, "--mode", mode, "--delta", 0.1, "--seed", 1,
-                "--out", net, "--report", tmp_path / "r.json"]) == 0
+                "--out", net, "--report", report]) == 0
     assert hashlib.sha256(net.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -362,6 +376,25 @@ def test_sweep_command(tmp_path):
     assert all(r["error"] == "" for r in rows)
     payload = read_json(summary)
     assert payload["loglog_slope_first_layer_vs_inv_delta"] is not None
+
+
+def test_sweep_records_a_cells_contract_violation(tmp_path):
+    # distance delta cannot exceed 2, so the delta-3 cell fails with a
+    # ValueError (exit code 2), which the sweep records and goes past
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n", 24, "--d", 6, "--deltas", "0.4,3", "--seeds", 1,
+                "--out", out, "--summary", tmp_path / "s.json"]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == [
+        "", "distance delta cannot exceed the unit-ball diameter 2"]
+
+
+def test_build_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["build"])
+    defaults = {f.name: f.default for f in dataclasses.fields(construct.ConstructionConfig)}
+    for name in ("eps1", "eps2", "c_dist", "max_retries"):
+        assert getattr(args, name) == defaults[name], name
 
 
 def test_sweep_single_delta_has_null_slope(tmp_path):

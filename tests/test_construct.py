@@ -551,6 +551,32 @@ def test_construct_report_consistency_and_intermediate_codes():
         assert layer.max_abs_weight() <= report.d2 + 1
 
 
+STAGES = ("check_separation", "build_first_layer", "plan_compression", "build_xor_subnetwork",
+          "prefix_partition", "build_selector_layer", "build_expansion_layer",
+          "build_memorization_layer", "build_output_layer", "forward_batch")
+
+
+def test_construct_calls_each_stage_through_module_namespace(monkeypatch):
+    # a per-stage trace wraps these names in construct's namespace, so
+    # construct_memorizer must look each one up there at call time
+    from threshmem.geometry import generate_separated_dataset
+
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(construct, name, counting(name, getattr(construct, name)))
+    mode = SeparationMode.distance(0.3)
+    ds = generate_separated_dataset(24, 6, mode, seed=3)
+    net, _ = construct_memorizer(ds, ConstructionConfig(mode=mode, seed=1))
+    assert calls == dict.fromkeys(STAGES, 1)
+
+
 def test_construct_deterministic():
     from threshmem.geometry import generate_separated_dataset
 

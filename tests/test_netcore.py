@@ -163,6 +163,15 @@ def test_integer_layer_rejects_non_integers():
         ThresholdLayer.integer(np.array([[1]]), np.array([0.25]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_real_layer_rejects_non_finite_values(bad):
+    # such a layer would serialize to a document that load refuses
+    with pytest.raises(ValueError, match="finite"):
+        ThresholdLayer.real([[bad, 1.0]], [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ThresholdLayer.real([[0.5, 1.0]], [bad])
+
+
 def test_network_shape_validation():
     l1 = ThresholdLayer.integer(np.array([[1, 1]]), np.array([0]))
     l2 = ThresholdLayer.integer(np.array([[1, 1]]), np.array([0]))  # expects 2 inputs
