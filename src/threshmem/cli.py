@@ -66,16 +66,30 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _emit_manifest(args, command: str, params: dict, artifacts: dict, started: float) -> None:
+#: The output flags, in the order a manifest lists them; the first one
+#: given anchors the default manifest path.
+OUTPUTS = ("out", "report", "summary")
+
+#: Parsed attributes that are not parameters of the run.
+NOT_PARAMS = frozenset({"command", "func", "manifest", "from_manifest", *OUTPUTS})
+
+
+def _write_manifest(args, wall_clock_s: float) -> None:
+    """Record a finished command: its parameters are its parsed flags
+    minus the outputs, which are its artifacts."""
+    flags = vars(args)
+    params = {key: value for key, value in flags.items() if key not in NOT_PARAMS}
+    params.setdefault("seed", None)
+    artifacts = {key: str(flags[key]) for key in OUTPUTS if flags.get(key) is not None}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "params": params,
-        "seed": params.get("seed"),
+        "seed": params["seed"],
         "artifacts": artifacts,
-        "wall_clock_s": round(time.monotonic() - started, 6),
+        "wall_clock_s": round(wall_clock_s, 6),
     }
-    if getattr(args, "manifest", None):
+    if args.manifest:
         path = Path(args.manifest)
     elif artifacts:
         out = Path(next(iter(artifacts.values())))
@@ -93,15 +107,10 @@ def _info(message: str) -> None:
 # Commands
 
 
-def cmd_generate(args) -> int:
-    started = time.monotonic()
+def cmd_generate(args) -> None:
     ds = geometry.generate_separated_dataset(args.n, args.d, _mode(args.mode, args.delta), args.seed)
     geometry.save_dataset_csv(ds, args.out)
-    params = {"n": args.n, "d": args.d, "mode": args.mode, "delta": args.delta,
-              "seed": args.seed}
-    _emit_manifest(args, "generate", params, {"out": str(args.out)}, started)
     _info(f"generated {ds.n} points in d={ds.dim} -> {args.out}")
-    return EXIT_OK
 
 
 #: The parameters a build manifest records, with the JSON types a replay
@@ -116,10 +125,6 @@ BUILD_PARAMS = {
     "c_dist": (int, float),
     "max_retries": (int,),
 }
-
-
-def _build_params(args) -> dict:
-    return {key: getattr(args, key) for key in BUILD_PARAMS}
 
 
 def _replay_manifest(args) -> None:
@@ -139,12 +144,15 @@ def _replay_manifest(args) -> None:
             raise ValueError(f"{args.from_manifest}: params.{key} must be {expected}, "
                              f"got {value!r}")
         setattr(args, key, value)
-    args.out = args.out or artifacts.get("out")
-    args.report = args.report or artifacts.get("report")
+    for key in ("out", "report"):
+        if key in artifacts and not isinstance(artifacts[key], str):
+            # an int or a bool would be opened as a file descriptor
+            raise ValueError(f"{args.from_manifest}: artifacts.{key} must be str, "
+                             f"got {artifacts[key]!r}")
+        setattr(args, key, getattr(args, key) or artifacts.get(key))
 
 
-def cmd_build(args) -> int:
-    started = time.monotonic()
+def cmd_build(args) -> None:
     if args.from_manifest:
         _replay_manifest(args)
     if args.out is None or args.report is None or args.dataset is None or args.delta is None:
@@ -162,17 +170,13 @@ def cmd_build(args) -> int:
     net, report = construct.construct_memorizer(ds, cfg)
     netcore.save_network(net, args.out)
     _write_json(args.report, report.to_json_dict())
-    _emit_manifest(args, "build", _build_params(args),
-                   {"out": str(args.out), "report": str(args.report)}, started)
     _info(
         f"memorized {report.n} points: {report.total_neurons} neurons "
         f"(bound {report.neuron_bound}), d1={report.d1} d2={report.d2} K={report.K}"
     )
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> None:
     net = netcore.load_network(args.network)
     ds = geometry.load_dataset_csv(args.dataset)
     if ds.dim != net.input_dim:
@@ -185,48 +189,41 @@ def cmd_eval(args) -> int:
     correct = int((preds == ds.labels).sum())
     summary = {"n": ds.n, "correct": correct, "accuracy": correct / ds.n}
     _write_json(args.summary, summary)
-    _emit_manifest(args, "eval",
-                   {"network": str(args.network), "dataset": str(args.dataset), "seed": None},
-                   {"out": str(args.out), "summary": str(args.summary)}, started)
     _info(f"accuracy {correct}/{ds.n} = {correct / ds.n:.4f}")
-    return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    started = time.monotonic()
+def cmd_audit(args) -> None:
     totals = netcore.audit(netcore.load_network(args.network))
     _write_json(args.out, dataclasses.asdict(totals))
-    _emit_manifest(args, "audit", {"network": str(args.network), "seed": None},
-                   {"out": str(args.out)}, started)
     _info(f"{totals.neurons} neurons, {totals.weights} weights (incl. biases)")
-    return EXIT_OK
 
 
-def cmd_lowerbound(args) -> int:
-    started = time.monotonic()
+def cmd_lowerbound(args) -> None:
     cds = lowerbound.build_cluster_dataset(args.n, args.d, args.delta, args.seed)
     lowerbound.save_clustered_csv(cds, args.out)
-    params = {"n": args.n, "d": args.d, "delta": args.delta, "seed": args.seed}
-    _emit_manifest(args, "lowerbound", params, {"out": str(args.out)}, started)
     _info(f"clustered dataset: {cds.num_clusters} clusters x {cds.num_clusters} points -> {args.out}")
-    return EXIT_OK
 
 
-def _plane(entry, where: str) -> lowerbound.Hyperplane:
+def _plane(entry, where: str, dim: int) -> lowerbound.Hyperplane:
     normal = entry.get("normal") if isinstance(entry, dict) else None
     offset = entry.get("offset") if isinstance(entry, dict) else None
     if not (isinstance(normal, list) and all(isinstance(v, (int, float)) for v in [*normal, offset])):
         raise ValueError(f'{where}: expected {{"normal": [numbers], "offset": number}}')
-    return lowerbound.Hyperplane.from_general(normal, offset)
+    if len(normal) != dim:
+        raise ValueError(f"{where}: normal has {len(normal)} entries, the points have {dim}")
+    try:
+        return lowerbound.Hyperplane.from_general(normal, offset)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float64
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def cmd_separate(args) -> int:
-    started = time.monotonic()
+def cmd_separate(args) -> None:
     ds, _ = geometry.load_clustered_csv(args.points)
     raw = _read_json(args.planes)
     if not isinstance(raw, dict) or not isinstance(raw.get("planes"), list):
         raise ValueError(f'{args.planes}: expected {{"planes": [...]}}')
-    planes = [_plane(entry, f"{args.planes}: plane {k}") for k, entry in enumerate(raw["planes"])]
+    planes = [_plane(entry, f"{args.planes}: plane {k}", ds.dim)
+              for k, entry in enumerate(raw["planes"])]
     mode = lowerbound.ALL_PAIRS if args.mode == "all" else lowerbound.OPPOSITE_LABEL_PAIRS
     result = lowerbound.count_separated_pairs(ds.features, ds.labels, planes, mode)
     payload = {
@@ -236,16 +233,10 @@ def cmd_separate(args) -> int:
         "on_plane_incidents": result.on_plane_incidents,
     }
     _write_json(args.out, payload)
-    _emit_manifest(args, "separate",
-                   {"points": str(args.points), "planes": str(args.planes),
-                    "mode": args.mode, "seed": None},
-                   {"out": str(args.out)}, started)
     _info(f"separated {result.separated}/{result.total} required pairs")
-    return EXIT_OK
 
 
-def cmd_bits(args) -> int:
-    started = time.monotonic()
+def cmd_bits(args) -> None:
     query = capacity.CapacityQuery(args.n, args.d, args.delta)
     pb = capacity.packing_bounds(query.d, query.delta)
     lower = capacity.bits_lower_bound(query)
@@ -266,19 +257,13 @@ def cmd_bits(args) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, payload)
-    _emit_manifest(args, "bits",
-                   {"n": args.n, "d": args.d, "delta": args.delta, "seed": None},
-                   {"out": str(args.out)} if args.out else {}, started)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
+def cmd_sweep(args) -> None:
     deltas = args.deltas
     if not deltas:
         raise ValueError("sweep needs a nonempty --deltas list")
-    seeds = list(range(args.seeds)) if args.seed_list is None else args.seed_list
-    if not seeds:
+    if args.seeds < 1:
         raise ValueError("sweep needs at least one seed")
 
     recorded = tuple(cls for cls, code in EXIT_CODES.items()
@@ -286,9 +271,9 @@ def cmd_sweep(args) -> int:
     rows = []
     widths = []
     for delta_idx, delta in enumerate(deltas):
-        for seed in seeds:
+        for seed in range(args.seeds):
             cell_seed = int(np.random.default_rng(
-                np.random.SeedSequence(args.seed, spawn_key=(int(seed), delta_idx))
+                np.random.SeedSequence(args.seed, spawn_key=(seed, delta_idx))
             ).integers(0, 2**62))
             row = {"delta": delta, "seed": seed}
             try:
@@ -327,12 +312,7 @@ def cmd_sweep(args) -> int:
     summary = {"n": args.n, "d": args.d, "deltas": deltas, "rows": len(rows),
                "loglog_slope_first_layer_vs_inv_delta": slope}
     _write_json(args.summary, summary)
-    _emit_manifest(args, "sweep",
-                   {"n": args.n, "d": args.d, "mode": args.mode, "deltas": deltas,
-                    "seeds": seeds, "seed": args.seed},
-                   {"out": str(args.out), "summary": str(args.summary)}, started)
     _info(f"swept {len(rows)} cells; slope={slope}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest",
+                        help="manifest path (default: <stem>.manifest.json beside the first output)")
 
-    p = sub.add_parser("generate", help="generate a separated dataset CSV")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, help="generate a separated dataset CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=["angular", "distance"], default="distance")
     p.add_argument("--delta", type=float, required=True)
     _add_seed(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("build", help="construct a memorizing network")
+    p = command("build", cmd_build, help="construct a memorizing network")
     p.add_argument("--dataset")
     p.add_argument("--mode", choices=["angular", "distance"], default="distance")
     p.add_argument("--delta", type=float)
@@ -374,64 +360,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", dest="max_retries", type=int, default=defaults["max_retries"])
     p.add_argument("--out")
     p.add_argument("--report")
-    p.add_argument("--manifest")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="rerun a previous build from its manifest")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("eval", help="evaluate a network on a dataset CSV")
+    p = command("eval", cmd_eval, help="evaluate a network on a dataset CSV")
     p.add_argument("--network", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="per-point predictions CSV")
     p.add_argument("--summary", required=True, help="accuracy summary JSON")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("audit", help="size accounting of a network JSON")
+    p = command("audit", cmd_audit, help="size accounting of a network JSON")
     p.add_argument("--network", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("lowerbound", help="build a clustered lower-bound dataset")
+    p = command("lowerbound", cmd_lowerbound, help="build a clustered lower-bound dataset")
     p.add_argument("--n", type=int, required=True, help="perfect square >= 4")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     _add_seed(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_lowerbound)
 
-    p = sub.add_parser("separate", help="count hyperplane-separated pairs")
+    p = command("separate", cmd_separate, help="count hyperplane-separated pairs")
     p.add_argument("--points", required=True, help="dataset CSV (cluster column optional)")
     p.add_argument("--planes", required=True, help='JSON {"planes": [{"normal": [...], "offset": b}]}')
     p.add_argument("--mode", choices=["all", "opposite"], default="opposite")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("bits", help="bit-complexity bounds for a query")
+    p = command("bits", cmd_bits, help="bit-complexity bounds for a query")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--out", help="also write the JSON here")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_bits)
 
-    p = sub.add_parser("sweep", help="size scaling across deltas")
+    p = command("sweep", cmd_sweep, help="size scaling across deltas")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=["angular", "distance"], default="distance")
     p.add_argument("--deltas", type=_delta_list, required=True,
                    help="comma-separated list, e.g. 0.4,0.2,0.1,0.05")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds per delta")
-    p.add_argument("--seed-list", dest="seed_list", type=_int_list,
-                   help="explicit comma-separated seeds (overrides --seeds)")
     _add_seed(p)
     p.add_argument("--out", required=True, help="sweep table CSV")
     p.add_argument("--summary", required=True, help="slope summary JSON")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -444,20 +414,16 @@ def _delta_list(text: str) -> list:
     return values
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+        if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        started = time.monotonic()
+        args.func(args)
+        _write_manifest(args, time.monotonic() - started)
+        return EXIT_OK
     except tuple(EXIT_CODES) as exc:
         code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         error = {"code": code, "type": type(exc).__name__, "message": str(exc)}

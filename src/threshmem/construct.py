@@ -104,21 +104,27 @@ class ConstructionConfig:
             raise ValueError("eps1 and eps2 must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-        if self.c_dist <= 0:
-            raise ValueError("c_dist must be positive")
+        if not (0 < self.c_dist < math.inf):
+            raise ValueError(f"c_dist must be positive and finite, got {self.c_dist}")
 
     def first_layer_width(self, n: int) -> int:
         """Starting hyperplane count before any retry-driven doubling."""
         delta = self.mode.delta
         const = 4 * math.pi if self.mode.is_angular else self.c_dist
-        return math.ceil((const / delta) * math.log(n / self.eps1))
+        return _finite_width((const / delta) * math.log(n / self.eps1), "first-layer")
 
     def compression_width(self, n: int) -> int:
         """Starting mask count; log base 2 closes the 2^-m union bound."""
-        return math.ceil(3 * math.log2(n / self.eps2))
+        return _finite_width(3 * math.log2(n / self.eps2), "compression")
 
     def step_rng(self, step: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(step,)))
+
+
+def _finite_width(width: float, name: str) -> int:
+    if not math.isfinite(width):
+        raise ValueError(f"{name} width {width} is not finite")
+    return math.ceil(width)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ class Hyperplane:
 
     def __post_init__(self):
         normal = np.asarray(self.normal, dtype=np.float64)
+        _require_finite(normal, self.offset)
         norm = float(np.linalg.norm(normal))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"normal must be a unit vector, got norm {norm}")
@@ -58,6 +59,7 @@ class Hyperplane:
     def from_general(cls, coeffs, offset) -> "Hyperplane":
         """Normalize arbitrary (w, b) with w nonzero to the unit-normal form."""
         coeffs = np.asarray(coeffs, dtype=np.float64)
+        _require_finite(coeffs, offset)
         norm = float(np.linalg.norm(coeffs))
         if norm == 0:
             raise ValueError("hyperplane normal cannot be zero")
@@ -65,6 +67,12 @@ class Hyperplane:
 
     def signed_distances(self, points) -> np.ndarray:
         return np.asarray(points) @ self.normal + self.offset
+
+
+def _require_finite(normal: np.ndarray, offset) -> None:
+    # a NaN would pass the unit-norm test and separate no pair
+    if not (np.isfinite(normal).all() and math.isfinite(offset)):
+        raise ValueError("hyperplane normal and offset must be finite")
 
 
 @dataclass(frozen=True)

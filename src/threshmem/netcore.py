@@ -79,16 +79,12 @@ class ThresholdLayer:
             if not sparse.issparse(weights):
                 weights = sparse.csr_array(np.asarray(weights))
             weights = sparse.csr_array(weights)
-            if not np.issubdtype(weights.dtype, np.integer):
-                data = weights.data
-                if not np.all(data == np.round(data)):
-                    raise ValueError("integer layer contains non-integer weights")
+            _check_int64_values(weights.data, "weight")
             weights = weights.astype(np.int64)
             weights.eliminate_zeros()
             weights.sum_duplicates()
             biases = np.asarray(biases)
-            if not np.all(biases == np.round(biases)):
-                raise ValueError("integer layer contains non-integer biases")
+            _check_int64_values(biases, "bias")
             biases = biases.astype(np.int64)
             biases.flags.writeable = False
             weights.data.flags.writeable = False
@@ -171,6 +167,17 @@ class ThresholdLayer:
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data)
         )
+
+
+def _check_int64_values(values: np.ndarray, what: str) -> None:
+    """Refuse a value the int64 cast would not keep: a fraction, a NaN, or
+    a float at or past 2^63, which the cast turns into -2^63."""
+    if np.issubdtype(values.dtype, np.integer):
+        return
+    bad = ~((values == np.round(values)) & (np.abs(values) < 2.0**63))
+    if bad.any():
+        raise ValueError(f"integer layer {what} {values[bad][0]} is not an integer "
+                         "of magnitude below 2^63")
 
 
 def _check_row_bounds(W, biases: np.ndarray) -> None:

@@ -6,6 +6,9 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshmem import construct
-from threshmem.cli import build_parser, main
+from threshmem.cli import BUILD_PARAMS, build_parser, main
 from threshmem.geometry import Dataset, save_dataset_csv
 from threshmem.netcore import load_network
 
@@ -76,6 +79,48 @@ def test_manifest_flag_sets_the_manifest_path(tmp_path):
                 "--out", out, "--manifest", manifest]) == 0
     assert read_json(manifest)["artifacts"] == {"out": str(out)}
     assert not (tmp_path / "ds.manifest.json").exists()
+
+
+#: The output flags, which a manifest records as artifacts, not params
+OUTPUT_FLAGS = ("out", "report", "summary")
+NOT_PARAMS = {"command", "func", "manifest", "from_manifest", *OUTPUT_FLAGS}
+
+
+def test_every_manifest_records_the_parsed_flags(tmp_path):
+    ds, net, cds, planes = (tmp_path / name for name in ("ds.csv", "net.json", "cds.csv",
+                                                         "planes.json"))
+    planes.write_text(json.dumps({"planes": [{"normal": [1.0, 0.0, 0.0], "offset": 0.0}]}))
+    commands = [
+        ["generate", "--n", 16, "--d", 3, "--delta", 0.3, "--seed", 5, "--out", ds],
+        ["build", "--dataset", ds, "--delta", 0.3, "--seed", 4, "--c-dist", 12.5, "--out", net,
+         "--report", tmp_path / "r.json"],
+        ["eval", "--network", net, "--dataset", ds, "--out", tmp_path / "p.csv",
+         "--summary", tmp_path / "s.json"],
+        ["audit", "--network", net, "--out", tmp_path / "a.json"],
+        ["lowerbound", "--n", 16, "--d", 3, "--delta", 0.05, "--seed", 1, "--out", cds],
+        ["separate", "--points", cds, "--planes", planes, "--mode", "all",
+         "--out", tmp_path / "sep.json"],
+        ["bits", "--n", 100, "--d", 4, "--delta", 0.1, "--out", tmp_path / "b.json"],
+        ["bits", "--n", 100, "--d", 4, "--delta", 0.1, "--manifest", tmp_path / "bits.json"],
+        ["sweep", "--n", 16, "--d", 4, "--deltas", "0.4,0.3", "--seeds", 2, "--seed", 3,
+         "--out", tmp_path / "sw.csv", "--summary", tmp_path / "sw.json"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in commands:
+            argv = [str(a) for a in argv]
+            assert main(argv) == 0, argv
+            flags = vars(build_parser().parse_args(argv))
+            artifacts = {k: flags[k] for k in OUTPUT_FLAGS if flags.get(k) is not None}
+            path = flags["manifest"] or Path(artifacts["out"]).with_suffix(".manifest.json")
+            manifest = read_json(Path(path))
+            params = {k: v for k, v in flags.items() if k not in NOT_PARAMS}
+            params.setdefault("seed", None)  # a command without --seed
+            assert manifest["command"] == argv[0]
+            assert manifest["params"] == params, argv
+            assert manifest["seed"] == params["seed"]
+            assert manifest["artifacts"] == artifacts, argv
+            if argv[0] == "build":
+                assert set(BUILD_PARAMS) == set(manifest["params"])
 
 
 def test_build_rejects_unseparated_dataset(tmp_path, capsys):
@@ -517,3 +562,164 @@ def test_build_from_manifest_rejects_unknown_param(tmp_path, small_dataset, caps
     capsys.readouterr()
     assert run(["build", "--from-manifest", manifest]) == 2
     assert "unknown build parameter 'func'" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("key", ["out", "report"])
+@pytest.mark.parametrize("value", [True, 1, ["net.json"]])
+def test_build_from_manifest_refuses_non_string_artifact(tmp_path, small_dataset, key, value):
+    # open() takes an int or a bool as a file descriptor, so a reader
+    # without this check would write into this process's stdout: the
+    # replay runs in a child process
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    doc["artifacts"][key] = value
+    manifest.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "threshmem.cli", "build",
+                           "--from-manifest", str(manifest)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line)["error"]["message"] == (
+        f"{manifest}: artifacts.{key} must be str, got {value!r}")
+
+
+@pytest.mark.parametrize("c_dist, message", [
+    ("inf", "c_dist must be positive and finite, got inf"),
+    ("nan", "c_dist must be positive and finite, got nan"),
+    # finite, but the first-layer width it gives is not
+    ("1e308", "first-layer width inf is not finite"),
+])
+def test_build_refuses_non_finite_c_dist_or_width(tmp_path, small_dataset, capsys,
+                                                  c_dist, message):
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--c-dist", c_dist,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
+def test_build_from_manifest_refuses_infinite_c_dist(tmp_path, small_dataset, capsys):
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    doc["params"]["c_dist"] = math.inf
+    manifest.write_text(json.dumps(doc))  # json writes the token Infinity
+    capsys.readouterr()
+    assert run(["build", "--from-manifest", manifest]) == 2
+    assert "c_dist must be positive and finite" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("plane, message", [
+    ({"normal": [math.nan, 1.0, 0.0, 0.0, 0.0], "offset": 0.0}, "must be finite"),
+    ({"normal": [math.inf, 1.0, 0.0, 0.0, 0.0], "offset": 0.0}, "must be finite"),
+    ({"normal": [1.0, 0.0, 0.0, 0.0, 0.0], "offset": math.nan}, "must be finite"),
+    ({"normal": [1.0, 0.0, 0.0, 0.0, 0.0], "offset": -math.inf}, "must be finite"),
+    ({"normal": [1.0, 0.0, 0.0, 0.0], "offset": 0.0}, "normal has 4 entries, the points have 5"),
+])
+def test_separate_refuses_non_finite_or_misshapen_plane(tmp_path, capsys, plane, message):
+    cds_path = tmp_path / "cds.csv"
+    assert run(["lowerbound", "--n", 16, "--d", 5, "--delta", 0.05,
+                "--seed", 1, "--out", cds_path]) == 0
+    planes_path = tmp_path / "planes.json"
+    good = {"normal": [0.0, 1.0, 0.0, 0.0, 0.0], "offset": 0.1}
+    planes_path.write_text(json.dumps({"planes": [good, plane]}))
+    capsys.readouterr()
+    assert run(["separate", "--points", cds_path, "--planes", planes_path,
+                "--out", tmp_path / "x.json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert error.startswith(f"{planes_path}: plane 1: ") and message in error
+
+
+@st.composite
+def faulty_planes(draw, dim):
+    """A planes JSON for points of dimension `dim` with one fault; each
+    fault makes it invalid."""
+    planes = [{"normal": [float(j == k % dim) for j in range(dim)], "offset": 0.1 * k}
+              for k in range(3)]
+    doc = {"planes": planes}
+    fault = draw(st.sampled_from(["truncated", "top", "missing", "normal", "element",
+                                  "nonfinite", "length", "zero"]))
+    if fault == "truncated":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if fault == "top":
+        doc = draw(st.sampled_from([[doc], "planes", 1, None, {"planes": {}},
+                                    {"planes": "x"}, {"planes": None}]))
+        return json.dumps(doc)
+    plane = draw(st.sampled_from(planes))
+    if fault == "missing":
+        if draw(st.booleans()):
+            doc = {"plane": planes}
+        else:
+            del plane[draw(st.sampled_from(["normal", "offset"]))]
+    elif fault == "normal":
+        plane["normal"] = draw(st.sampled_from(["1,0,0", 1.0, None, {"0": 1.0}]))
+    elif fault == "element":
+        k = draw(st.integers(0, dim - 1))
+        plane["normal"][k] = draw(st.sampled_from(["1", None, [1.0], {}]))
+    elif fault == "nonfinite":  # json writes NaN and Infinity; 10**400 passes float64
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+        if draw(st.booleans()):
+            plane["offset"] = bad
+        else:
+            plane["normal"][draw(st.integers(0, dim - 1))] = bad
+    elif fault == "length":
+        plane["normal"] = plane["normal"][:-1] if draw(st.booleans()) else plane["normal"] + [0.5]
+    else:
+        plane["normal"] = [0.0] * dim
+    return json.dumps(doc)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_faulty_planes_json_gives_one_error_line(fuzz_base, data):
+    root, _, _ = fuzz_base
+    path = root / "faulty_planes.json"
+    path.write_text(data.draw(faulty_planes(3)))
+    assert_one_error_line(["separate", "--points", root / "ds.csv", "--planes", path,
+                           "--out", root / "sep.json"])
+
+
+@pytest.fixture(scope="module")
+def base_manifest(fuzz_base):
+    """The manifest of fuzz_base's build, writing its replay elsewhere."""
+    root = fuzz_base[0]
+    doc = read_json(root / "net.manifest.json")
+    doc["artifacts"] = {"out": str(root / "replay.json"), "report": str(root / "replay_r.json")}
+    return doc
+
+
+@st.composite
+def faulty_manifest(draw, doc):
+    """The build manifest `doc` with one fault; each fault makes it invalid.
+    No artifact becomes an int or a bool: open() would take it as a file
+    descriptor of this process if the type check were missing."""
+    doc = json.loads(json.dumps(doc))
+    fault = draw(st.sampled_from(["truncated", "object", "param", "nonfinite", "artifact"]))
+    if fault == "truncated":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if fault == "object":
+        doc[draw(st.sampled_from(["params", "artifacts"]))] = draw(
+            st.sampled_from([[], "x", 1, None, True]))
+    elif fault == "param":
+        key = draw(st.sampled_from(sorted(BUILD_PARAMS)))
+        doc["params"][key] = draw(st.sampled_from(
+            [v for v in [None, True, "0.3", 2.5, 3, [], {}]
+             if isinstance(v, bool) or not isinstance(v, BUILD_PARAMS[key])]))
+    elif fault == "nonfinite":  # json writes these as NaN, Infinity and -Infinity
+        key = draw(st.sampled_from(["delta", "eps1", "eps2", "c_dist"]))
+        doc["params"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        doc["artifacts"][draw(st.sampled_from(["out", "report"]))] = draw(
+            st.sampled_from([None, 2.5, [], ["net.json"], {}]))
+    return json.dumps(doc)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_faulty_manifest_gives_one_error_line(fuzz_base, base_manifest, data):
+    path = fuzz_base[0] / "faulty.manifest.json"
+    path.write_text(data.draw(faulty_manifest(base_manifest)))
+    assert_one_error_line(["build", "--from-manifest", path])

@@ -502,6 +502,20 @@ def test_construct_xor_hard_labeling():
     assert np.array_equal(forward_batch(net, pts), labels)
 
 
+@pytest.mark.parametrize("c_dist", [math.inf, math.nan])
+def test_config_rejects_non_finite_c_dist(c_dist):
+    with pytest.raises(ValueError, match="c_dist must be positive and finite"):
+        distance_cfg(0.3, c_dist=c_dist)
+
+
+def test_config_rejects_non_finite_width():
+    # both quotients overflow to inf, which math.ceil cannot take
+    with pytest.raises(ValueError, match="first-layer width inf is not finite"):
+        distance_cfg(0.3, c_dist=1e308).first_layer_width(16)
+    with pytest.raises(ValueError, match="compression width inf is not finite"):
+        distance_cfg(0.3, eps2=5e-324).compression_width(16)
+
+
 def test_construct_rejects_unseparated_dataset():
     ds = Dataset([[0.1, 0.0], [0.11, 0.0]], [0, 1])
     with pytest.raises(DatasetNotSeparatedError, match="worst pair"):

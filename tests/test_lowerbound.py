@@ -84,6 +84,16 @@ def test_hyperplane_normalization():
     assert h.offset == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("normal, offset", [
+    ([math.nan, 1.0], 0.0), ([math.inf, 1.0], 0.0), ([1.0, 0.0], math.nan), ([1.0, 0.0], -math.inf)])
+def test_hyperplane_rejects_non_finite_values(normal, offset):
+    # a NaN normal passes the unit-norm test and separates no pair
+    with pytest.raises(ValueError, match="must be finite"):
+        Hyperplane.from_general(normal, offset)
+    with pytest.raises(ValueError, match="must be finite"):
+        Hyperplane(np.array(normal), offset)
+
+
 def test_two_points_one_plane():
     points = np.array([[-1.0, 0.0], [1.0, 0.0]])
     labels = np.array([0, 1])

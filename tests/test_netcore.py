@@ -172,6 +172,17 @@ def test_real_layer_rejects_non_finite_values(bad):
         ThresholdLayer.real([[0.5, 1.0]], [bad])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, 1e30, 2.0**63])
+def test_integer_layer_rejects_float_past_int64(bad):
+    # the int64 cast would warn and turn the value into -2^63, and the row
+    # bound would then report a sum of that made-up value
+    with pytest.raises(ValueError, match=f"weight {re.escape(str(bad))} is not an integer"):
+        ThresholdLayer.integer(np.array([[bad, 1.0]]), np.array([0]))
+    with pytest.raises(ValueError, match=f"bias {re.escape(str(bad))} is not an integer"):
+        ThresholdLayer.integer(np.array([[1, 1]]), np.array([bad]))
+
+
 def test_network_shape_validation():
     l1 = ThresholdLayer.integer(np.array([[1, 1]]), np.array([0]))
     l2 = ThresholdLayer.integer(np.array([[1, 1]]), np.array([0]))  # expects 2 inputs
