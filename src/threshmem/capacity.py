@@ -15,15 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-UNIT_SPHERE = "unit_sphere"
-
-
 @dataclass(frozen=True)
 class CapacityQuery:
     n: int
     d: int
     delta: float
-    set_kind: str = UNIT_SPHERE
 
     def __post_init__(self):
         if self.n < 1:
@@ -32,8 +28,6 @@ class CapacityQuery:
             raise ValueError("d must be at least 2")
         if not (0 < self.delta <= 2):
             raise ValueError("delta must lie in (0, 2]")
-        if self.set_kind != UNIT_SPHERE:
-            raise ValueError(f"unsupported set kind {self.set_kind!r}")
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,11 @@ def _replay_manifest(args) -> None:
             expected = " or ".join(t.__name__ for t in types)
             raise ValueError(f"{args.from_manifest}: params.{key} must be {expected}, "
                              f"got {value!r}")
+        if float in types:  # as its flag converts it
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{args.from_manifest}: params.{key} is past the float range") from None
         setattr(args, key, value)
     for key in ("out", "report"):
         if key in artifacts and not isinstance(artifacts[key], str):

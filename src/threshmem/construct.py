@@ -161,20 +161,11 @@ def _attempt_widths(start: int, max_retries: int):
 
 
 def _closest_colliding_pair(ds: Dataset, groups, mode: SeparationMode):
-    worst_pair, worst_value = None, math.inf
-    for group in groups:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
-                xi, xj = ds.features[i], ds.features[j]
-                if mode.is_angular:
-                    denom = np.linalg.norm(xi) * np.linalg.norm(xj)
-                    value = float(np.arccos(np.clip(xi @ xj / denom, -1, 1)))
-                else:
-                    value = float(np.linalg.norm(xi - xj))
-                if value < worst_value:
-                    worst_pair, worst_value = (i, j), value
-    return worst_pair, worst_value
+    """The closest pair of points that share a code, and its separation."""
+    verdicts = [(check_separation(Dataset(ds.features[g], ds.labels[g]), mode), g) for g in groups]
+    verdict, group = min(verdicts, key=lambda vg: vg[0].worst_value)
+    i, j = verdict.worst_pair
+    return (group[i], group[j]), verdict.worst_value
 
 
 def build_first_layer(ds: Dataset, cfg: ConstructionConfig) -> FirstLayerResult:
@@ -285,10 +276,6 @@ class XorSubnetwork:
     layers: list
     gadget_neurons: int
     padding_neurons: int
-
-    @property
-    def neurons(self) -> int:
-        return self.gadget_neurons + self.padding_neurons
 
 
 def _xor_level(tree: np.ndarray, signal: np.ndarray, m: int, in_dim: int):

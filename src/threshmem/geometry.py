@@ -114,9 +114,6 @@ class Dataset:
         """Same points with a different labeling."""
         return Dataset(self.features, labels)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class SeparationVerdict:
@@ -166,6 +163,12 @@ def _closest_pair(X: np.ndarray, angular: bool) -> tuple[tuple[int, int], float]
     return best_pair, best
 
 
+def _angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Angle of nonzero u, v by Kahan's 2 atan2(|u|v| - v|u||, |u|v| + v|u||)."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    return 2.0 * math.atan2(np.linalg.norm(u * nv - v * nu), np.linalg.norm(u * nv + v * nu))
+
+
 def check_separation(ds: Dataset, mode: SeparationMode, tol: float = DEFAULT_TOL) -> SeparationVerdict:
     """Exact pairwise separation check under the given mode.
 
@@ -183,8 +186,10 @@ def check_separation(ds: Dataset, mode: SeparationMode, tol: float = DEFAULT_TOL
             raise ZeroNormError("angular separation undefined for zero-norm vectors")
         if n == 1:
             return SeparationVerdict(True, None, math.inf)
-        pair, cosine = _closest_pair(X / norms[:, None], angular=True)
-        worst = float(np.arccos(cosine))
+        U = X / norms[:, None]
+        pair, cosine = _closest_pair(U, angular=True)
+        # arccos reads every cosine that rounds to 1 as angle 0
+        worst = float(np.arccos(cosine)) if cosine < 1.0 else _angle(U[pair[0]], U[pair[1]])
         return SeparationVerdict(worst >= mode.delta - tol, pair, worst)
 
     norms = np.linalg.norm(X, axis=1)

@@ -11,12 +11,9 @@ integer sparse products.
 
 from __future__ import annotations
 
-import gc
 import json
-import math
 import re
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -77,7 +74,10 @@ class ThresholdLayer:
             biases.flags.writeable = False
         else:
             if not sparse.issparse(weights):
-                weights = sparse.csr_array(np.asarray(weights))
+                # scipy refuses the object array that holds an int past int64
+                weights = np.asarray(weights)
+                _check_int64_values(weights, "weight")
+                weights = weights.astype(np.int64)
             weights = sparse.csr_array(weights)
             _check_int64_values(weights.data, "weight")
             weights = weights.astype(np.int64)
@@ -140,17 +140,9 @@ class ThresholdLayer:
             return int(self.weights.size)
         return int(self.weights.nnz)
 
-    def max_abs_weight(self):
-        """Largest |weight or bias|; int for integer layers, float for real."""
-        if self.is_integer:
-            m = int(np.abs(self.biases).max()) if self.biases.size else 0
-            if self.weights.nnz:
-                m = max(m, int(np.abs(self.weights.data).max()))
-            return m
-        m = float(np.abs(self.biases).max()) if self.biases.size else 0.0
-        if self.weights.size:
-            m = max(m, float(np.abs(self.weights).max()))
-        return m
+    def max_abs_weight(self) -> int:
+        """Largest |weight or bias| of an integer layer."""
+        return int(max(np.abs(self.biases).max(initial=0), np.abs(self.weights.data).max(initial=0)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThresholdLayer):
@@ -170,13 +162,18 @@ class ThresholdLayer:
 
 
 def _check_int64_values(values: np.ndarray, what: str) -> None:
-    """Refuse a value the int64 cast would not keep: a fraction, a NaN, or
-    a float at or past 2^63, which the cast turns into -2^63."""
+    """Refuse a value the int64 cast would not keep: a fraction, a NaN, a
+    float at or past 2^63, which the cast turns into -2^63, or a Python int
+    past int64, which numpy holds in an object array."""
     if np.issubdtype(values.dtype, np.integer):
         return
-    bad = ~((values == np.round(values)) & (np.abs(values) < 2.0**63))
-    if bad.any():
-        raise ValueError(f"integer layer {what} {values[bad][0]} is not an integer "
+    if values.dtype == object:
+        bad = [v for v in values.flat
+               if not (isinstance(v, (int, float)) and abs(v) < 2**63 and v == round(v))]
+    else:
+        bad = values[~((values == np.round(values)) & (np.abs(values) < 2.0**63))]
+    if len(bad):
+        raise ValueError(f"integer layer {what} {bad[0]} is not an integer "
                          "of magnitude below 2^63")
 
 
@@ -259,9 +256,7 @@ class _PackedPlan:
     refuses any row past that bound.
 
     Wider rows (selectors, memorization bank, output OR) multiply their
-    unpacked input. On {0,1} inputs a row's pre-activation is bounded by
-    the sum of its absolute weights, so int32 is exact whenever that bound
-    plus the bias stays below 2^31; otherwise int64 is used.
+    unpacked input as an int64 sparse product, exact under the same bound.
     """
 
     def __init__(self, W, biases: np.ndarray):
@@ -285,13 +280,8 @@ class _PackedPlan:
         self.cb = _word_masks(f00 ^ f01)
         self.cab = _word_masks(f00 ^ f10 ^ f01 ^ f11)
 
-        wide = W[self.wide_rows]
-        neg_bias = -biases[self.wide_rows]
-        row_bound = np.abs(wide).sum(axis=1) + np.abs(neg_bias)
-        if row_bound.size == 0 or row_bound.max() < np.iinfo(np.int32).max:
-            wide, neg_bias = wide.astype(np.int32), neg_bias.astype(np.int32)
-        self.wide = wide
-        self.wide_neg_bias = neg_bias[:, None]
+        self.wide = W[self.wide_rows]
+        self.wide_neg_bias = -biases[self.wide_rows][:, None]
 
     def apply(self, P: np.ndarray) -> np.ndarray:
         """(in_dim, words) packed input bits -> (out_dim, words) packed output bits."""
@@ -322,7 +312,7 @@ class _PackedPlan:
         cols = (w[at >> 6] << 6) | (at & 63)
         indptr = np.zeros(P.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=P.shape[0]), out=indptr[1:])
-        X = sparse.csr_array((np.ones(rows.size, dtype=self.wide.dtype), cols, indptr),
+        X = sparse.csr_array((np.ones(rows.size, dtype=np.int64), cols, indptr),
                              shape=(P.shape[0], P.shape[1] * 64))
         return _pack((self.wide @ X).toarray() >= self.wide_neg_bias)
 
@@ -472,7 +462,7 @@ def audit(net: ThresholdNetwork) -> NetworkAudit:
             neurons=layer.out_dim,
             weight_entries=layer.weight_entries(),
             biases=layer.out_dim,
-            max_abs_integer_weight=int(layer.max_abs_weight()) if layer.is_integer else None,
+            max_abs_integer_weight=layer.max_abs_weight() if layer.is_integer else None,
         )
         for layer in net.layers
     ])
@@ -616,18 +606,21 @@ def _finite_float_array(values) -> Optional[np.ndarray]:
     return a if np.isfinite(a).all() else None
 
 
-def _is_finite_number(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+def _entries_obey_rules(rows, cols, vals, rows_n: int, cols_n: int, domain: str) -> bool:
+    """Whether entry arrays sorted by (row, col) keep the rules that
+    _raise_first_bad_entry names: rows and columns in range, no (row, col)
+    repeated, and no zero in an integer layer. Arrays out of (row, col)
+    order break them too."""
+    if not rows.size:
+        return True
+    increasing = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+    return bool(0 <= rows[0] and rows[-1] < rows_n and 0 <= cols.min() and cols.max() < cols_n
+                and increasing.all() and (domain == REAL or vals.all()))
 
 
 def _entry_arrays(entries: list, rows_n: int, cols_n: int, domain: str):
-    """(rows, cols, values) of a layer's entries, or None if any entry is bad.
-
-    Applies every rule of _raise_first_bad_entry to whole arrays at once.
-    """
+    """(rows, cols, values) of a layer's entries sorted by (row, col), or
+    None if any entry breaks a rule of _raise_first_bad_entry."""
     if not entries:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, (empty if domain == INTEGER else empty.astype(np.float64))
@@ -635,30 +628,19 @@ def _entry_arrays(entries: list, rows_n: int, cols_n: int, domain: str):
         return None
     flat = list(chain.from_iterable(entries))
     rows, cols = _int64_array(flat[0::3]), _int64_array(flat[1::3])
-    if rows is None or cols is None:
-        return None
-    if rows.min() < 0 or rows.max() >= rows_n or cols.min() < 0 or cols.max() >= cols_n:
+    vals = (_int64_array if domain == INTEGER else _finite_float_array)(flat[2::3])
+    if rows is None or cols is None or vals is None:
         return None
     order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
-        return None
-    if domain == INTEGER:
-        vals = _int64_array(flat[2::3])
-        if vals is None or not vals.all():
-            return None
-    else:
-        vals = _finite_float_array(flat[2::3])
-        if vals is None:
-            return None
-    return rows, cols, vals
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    return (rows, cols, vals) if _entries_obey_rules(rows, cols, vals, rows_n, cols_n, domain) else None
 
 
 def _raise_first_bad_entry(entries: list, rows_n: int, cols_n: int, domain: str, where: str):
     """Raise SerializationError for the lowest-index entry that breaks a rule.
 
-    Called only after _entry_arrays has rejected the layer, to name the
-    entry and the rule as an entry-by-entry reading would.
+    Called only after _entry_arrays has rejected the layer as a whole, to
+    name the entry and the rule as an entry-by-entry reading would.
     """
     seen = set()
     for ei, e in enumerate(entries):
@@ -675,7 +657,7 @@ def _raise_first_bad_entry(entries: list, rows_n: int, cols_n: int, domain: str,
             _expect(-_INT64_MAX - 1 <= v <= _INT64_MAX, ew, f"value {v} does not fit in int64")
         else:
             _expect(isinstance(v, (int, float)), ew, f"value must be a number, got {v!r}")
-            _expect(_is_finite_number(v), ew, f"value {v!r} is not a finite float64")
+            _expect(_finite_float_array([v]) is not None, ew, f"value {v!r} is not a finite float64")
     raise RuntimeError(f"{where}.entries: rejected as a whole, but no entry breaks a rule")
 
 
@@ -719,31 +701,11 @@ def _load_layer(entry, where: str, doc_bytes: int) -> ThresholdLayer:
         raise SerializationError(f"{where}: {exc}") from exc
 
 
-@contextmanager
-def _gc_paused():
-    """Pause cyclic garbage collection for the duration of the block.
-
-    json.loads of a network document allocates hundreds of thousands of
-    small entry lists, none of them in a reference cycle. Collections
-    triggered while they are allocated free nothing, yet rescan the whole
-    growing document; they took about a third of the general reader's
-    json.loads on the benchmark's networks.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _read_general(data: bytes) -> ThresholdNetwork:
     """Any JSON document of the network shape; raises SerializationError
     naming the first rule it breaks."""
     try:
-        with _gc_paused():
-            doc = json.loads(data)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SerializationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -798,11 +760,8 @@ def _read_integer_layer(data: bytes, pos: int):
     if (_int_text((rows, cols, vals), b"[", b"]") != view[e0:e1]
             or _int_text((bias,)) != view[b0:b1]):
         return None
-    if rows.size and (rows.min() < 0 or rows.max() >= rows_n or cols.min() < 0
-                      or cols.max() >= cols_n or not vals.all()):
-        return None
-    # (row, col) strictly increasing: sorted, and no entry repeated
-    if not ((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))).all():
+    # serialize writes entries sorted by (row, col), so unsorted ones decline
+    if not _entries_obey_rules(rows, cols, vals, rows_n, cols_n, INTEGER):
         return None
     try:
         layer = ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, bias)

@@ -708,9 +708,9 @@ def faulty_manifest(draw, doc):
         doc["params"][key] = draw(st.sampled_from(
             [v for v in [None, True, "0.3", 2.5, 3, [], {}]
              if isinstance(v, bool) or not isinstance(v, BUILD_PARAMS[key])]))
-    elif fault == "nonfinite":  # json writes these as NaN, Infinity and -Infinity
+    elif fault == "nonfinite":  # json writes NaN, Infinity and -Infinity; 10**400 passes float64
         key = draw(st.sampled_from(["delta", "eps1", "eps2", "c_dist"]))
-        doc["params"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        doc["params"][key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
     else:
         doc["artifacts"][draw(st.sampled_from(["out", "report"]))] = draw(
             st.sampled_from([None, 2.5, [], ["net.json"], {}]))

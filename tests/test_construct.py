@@ -124,16 +124,24 @@ def test_first_layer_codes_match_layer_evaluation():
     assert np.array_equal(result.codes, again)
 
 
-def test_first_layer_retry_exhaustion_names_worst_pair():
+@pytest.mark.parametrize("mode", ["distance", "angular"])
+def test_first_layer_retry_exhaustion_names_worst_pair(mode):
     # two points closer than delta claims: collisions never resolve at
-    # realistic widths, so the builder must fail loudly and name the pair
+    # realistic widths, so the builder must fail loudly and name the pair;
+    # in angular mode the pair is eps radians apart, an angle whose cosine
+    # rounds to 1
     eps = 1e-12
-    ds = Dataset([[0.5, 0.0], [0.5 + eps, 0.0], [-0.5, 0.0]], [0, 1, 0])
-    cfg = distance_cfg(0.4, seed=1, max_retries=3)
+    if mode == "distance":
+        ds = Dataset([[0.5, 0.0], [0.5 + eps, 0.0], [-0.5, 0.0]], [0, 1, 0])
+        cfg = distance_cfg(0.4, seed=1, max_retries=3)
+    else:
+        ds = Dataset([[1.0, 0.0], [math.cos(eps), math.sin(eps)], [-1.0, 0.0]], [0, 1, 0])
+        cfg = angular_cfg(0.4, seed=1, max_retries=3)
     with pytest.raises(ConstructionRetryError) as exc_info:
         build_first_layer(ds, cfg)
     assert exc_info.value.worst_pair == (0, 1)
-    assert exc_info.value.worst_value == pytest.approx(eps, rel=1e-3)
+    # abs=0: approx's default absolute tolerance of 1e-12 would accept 0
+    assert exc_info.value.worst_value == pytest.approx(eps, rel=1e-3, abs=0)
 
 
 def test_first_layer_separation_frequency_monte_carlo():

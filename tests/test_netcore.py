@@ -173,10 +173,11 @@ def test_real_layer_rejects_non_finite_values(bad):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.inf, 1e30, 2.0**63])
+@pytest.mark.parametrize("bad", [np.inf, 1e30, 2.0**63, 2**70])
 def test_integer_layer_rejects_float_past_int64(bad):
     # the int64 cast would warn and turn the value into -2^63, and the row
-    # bound would then report a sum of that made-up value
+    # bound would then report a sum of that made-up value; numpy holds the
+    # Python int 2**70 in an object array, which np.round refuses
     with pytest.raises(ValueError, match=f"weight {re.escape(str(bad))} is not an integer"):
         ThresholdLayer.integer(np.array([[bad, 1.0]]), np.array([0]))
     with pytest.raises(ValueError, match=f"bias {re.escape(str(bad))} is not an integer"):
