@@ -181,6 +181,10 @@ def check_separation(ds: Dataset, mode: SeparationMode, tol: float = DEFAULT_TOL
     X = ds.features
     n = ds.n
     if mode.is_angular:
+        # scaled by the power of two that puts each row's largest |x| in
+        # [0.5, 1), which is exact: the squares in the norm can then neither
+        # underflow nor overflow
+        X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=1, initial=0.0))[1][:, None])
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms == 0):
             raise ZeroNormError("angular separation undefined for zero-norm vectors")

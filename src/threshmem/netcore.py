@@ -12,10 +12,10 @@ integer sparse products.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,11 +163,14 @@ class ThresholdLayer:
 
 def _check_int64_values(values: np.ndarray, what: str) -> None:
     """Refuse a value the int64 cast would not keep: a fraction, a NaN, a
-    float at or past 2^63, which the cast turns into -2^63, or a Python int
-    past int64, which numpy holds in an object array."""
-    if np.issubdtype(values.dtype, np.integer):
+    float at or past 2^63, which the cast turns into -2^63, an unsigned
+    value past 2^63 - 1, which it wraps, or a Python int past int64, which
+    numpy holds in an object array."""
+    if values.dtype.kind == "i":
         return
-    if values.dtype == object:
+    if values.dtype.kind == "u":
+        bad = values[values > np.uint64(_INT64_MAX)]
+    elif values.dtype == object:
         bad = [v for v in values.flat
                if not (isinstance(v, (int, float)) and abs(v) < 2**63 and v == round(v))]
     else:
@@ -481,27 +484,29 @@ def audit(net: ThresholdNetwork) -> NetworkAudit:
 # serialize as shortest round-trip decimals.
 #
 # serialize writes one canonical form: compact separators, the keys in the
-# order above, each integer layer's text formatted straight from its CSR
-# arrays and each real layer's through json. deserialize first tries a
-# strict reader of that form, which parses integer layers into int64
-# arrays with no Python object per entry and accepts one only if the
-# writer gives back its bytes exactly. Any other document, valid or not,
-# goes to the general reader, which parses with json and checks every
-# rule; it alone names the first error.
+# order above, and every layer's text laid out from its entry and bias
+# arrays. deserialize first tries a strict reader of that form, which frames
+# every layer alike and reads its numbers into arrays (see _numbers). Any
+# other document, valid or not, goes to the general reader, which parses
+# with json and checks each entry in turn; it alone names the first error.
 
-#: The canonical text around one integer layer's entries and biases, and
-#: the patterns the canonical reader matches it and the document with.
-_INTEGER_LAYER = b'{"domain":"integer","rows":%d,"cols":%d,"entries":[%s],"bias":[%s]}'
+#: One layer's canonical text, and the patterns the canonical reader matches.
+_LAYER = b'{"domain":"%s","rows":%d,"cols":%d,"entries":[%s],"bias":[%s]}'
 _DOC_HEAD = re.compile(rb'\{"input_dim":([1-9][0-9]{0,18}),"layers":\[')
-_INTEGER_HEAD = re.compile(
-    rb'\{"domain":"integer","rows":([1-9][0-9]{0,18}),"cols":([1-9][0-9]{0,18}),"entries":\[')
-_REAL_HEAD = b'{"domain":"real",'
+_LAYER_HEAD = re.compile(rb'\{"domain":"(real|integer)","rows":([1-9][0-9]{0,18}),'
+                         rb'"cols":([1-9][0-9]{0,18}),"entries":\[')
+_NOT_FRAME = bytes(sorted(set(range(256)) - set(b"[,]")))  # all but an entry list's frame
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
-def _decimal_cells(x: np.ndarray) -> np.ndarray:
-    """(n,) integers as an (n, w) uint8 matrix: each value's decimal text
-    right-aligned, after a '-' column if any value is negative, and zero
-    bytes wherever a shorter value leaves a cell empty."""
+def _cells(x: np.ndarray) -> np.ndarray:
+    """(n,) numbers as an (n, w) uint8 matrix of their json text, with zero
+    bytes wherever a shorter value leaves a cell empty. A float's text is
+    its repr, as json writes it. An integer's is its decimal digits,
+    right-aligned after a '-' column if any value is negative."""
+    if x.dtype.kind == "f":
+        text = np.array(list(map(repr, x.tolist())), dtype=np.bytes_)
+        return text.view(np.uint8).reshape(x.size, text.itemsize)
     neg = x < 0
     mag = x.astype(np.uint64)  # -v wraps to 2^64 - |v|; negating that gives |v|
     np.negative(mag, out=mag, where=neg)
@@ -521,17 +526,14 @@ def _decimal_cells(x: np.ndarray) -> np.ndarray:
     return cells.T
 
 
-def _int_text(fields: Sequence[np.ndarray], open_: bytes = b"", close: bytes = b"") -> bytes:
-    """Rows of the parallel integer vectors `fields` as json writes them,
-    with no Python object per value: each row is open_, its values joined
-    by commas and close, and the rows are joined by commas.
-
-    Every row is laid out in one uint8 matrix at fixed columns, and one
-    boolean compaction drops the empty cells.
-    """
+def _text(fields: Sequence[np.ndarray], open_: bytes = b"", close: bytes = b"") -> bytes:
+    """Rows of the parallel vectors `fields` as json writes them: each row
+    is open_, its values joined by commas and close, and the rows are joined
+    by commas. Every row is laid out in one uint8 matrix at fixed columns,
+    and one boolean compaction drops the empty cells."""
     layout = [open_]
     for k, x in enumerate(fields):
-        layout += [_decimal_cells(x), b"," if k < len(fields) - 1 else close + b","]
+        layout += [_cells(x), b"," if k < len(fields) - 1 else close + b","]
     blocks = [np.frombuffer(b, dtype=np.uint8) if isinstance(b, bytes) else b for b in layout]
     widths = [b.shape[-1] for b in blocks]
     out = np.zeros((len(fields[0]), sum(widths)), dtype=np.uint8)
@@ -540,33 +542,21 @@ def _int_text(fields: Sequence[np.ndarray], open_: bytes = b"", close: bytes = b
     return out[out != 0].tobytes()[:-1]  # the last row's trailing comma
 
 
-def _integer_layer_text(layer: ThresholdLayer) -> bytes:
-    # the constructor leaves the CSR canonical: row-major, columns sorted
-    # within each row, no duplicates
-    W = layer.weights
-    rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-    return _INTEGER_LAYER % (W.shape[0], W.shape[1], _int_text((rows, W.indices, W.data), b"[", b"]"),
-                             _int_text((layer.biases,)))
-
-
-def _real_layer_text(layer: ThresholdLayer) -> bytes:
-    rows, cols = np.nonzero(layer.weights)
-    vals = layer.weights[rows, cols]
-    doc = {
-        "domain": REAL,
-        "rows": int(layer.out_dim),
-        "cols": int(layer.in_dim),
-        "entries": list(map(list, zip(rows.tolist(), cols.tolist(), vals.tolist()))),
-        "bias": layer.biases.tolist(),
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+def _layer_text(layer: ThresholdLayer) -> bytes:
+    if layer.is_integer:
+        # the constructor leaves the CSR canonical: row-major, columns
+        # sorted within each row, no duplicates
+        W = layer.weights
+        rows, cols, vals = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr)), W.indices, W.data
+    else:
+        rows, cols = np.nonzero(layer.weights)
+        vals = layer.weights[rows, cols]
+    return _LAYER % (layer.domain.encode(), layer.out_dim, layer.in_dim,
+                     _text((rows, cols, vals), b"[", b"]"), _text((layer.biases,)))
 
 
 def serialize(net: ThresholdNetwork) -> bytes:
-    layers = [_integer_layer_text(layer) if layer.is_integer else _real_layer_text(layer)
-              for layer in net.layers]
-    return b'{"input_dim":%s,"layers":[%s]}' % (json.dumps(net.input_dim).encode("utf-8"),
-                                                  b",".join(layers))
+    return b'{"input_dim":%d,"layers":[%s]}' % (net.input_dim, b",".join(map(_layer_text, net.layers)))
 
 
 def _expect(cond: bool, where: str, what: str):
@@ -584,13 +574,13 @@ def _int64_array(values) -> Optional[np.ndarray]:
 
     numpy infers int64 (or bool) exactly when every value is an int that
     fits; an int past int64, a float, a string or a nested list gives
-    another dtype or shape.
+    another dtype or shape. An empty list gives an empty vector.
     """
     try:
         a = np.array(values)
     except ValueError:  # nested lists of unequal length
         return None
-    if a.ndim != 1 or a.dtype.kind not in "bi":
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "bi"):
         return None
     return a.astype(np.int64)
 
@@ -606,11 +596,16 @@ def _finite_float_array(values) -> Optional[np.ndarray]:
     return a if np.isfinite(a).all() else None
 
 
+def _fits(domain: str, rows_n: int, cols_n: int, doc_bytes: int) -> bool:
+    # a real layer is stored densely: one larger than its document cannot
+    # hold its weights, and allocating it would only exhaust memory
+    return domain == INTEGER or rows_n * cols_n <= doc_bytes
+
+
 def _entries_obey_rules(rows, cols, vals, rows_n: int, cols_n: int, domain: str) -> bool:
-    """Whether entry arrays sorted by (row, col) keep the rules that
-    _raise_first_bad_entry names: rows and columns in range, no (row, col)
-    repeated, and no zero in an integer layer. Arrays out of (row, col)
-    order break them too."""
+    """Whether entry arrays sorted by (row, col) keep the rules _entry_problem
+    names: rows and columns in range, no (row, col) repeated, no zero in an
+    integer layer. Arrays out of (row, col) order break them too."""
     if not rows.size:
         return True
     increasing = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
@@ -618,47 +613,57 @@ def _entries_obey_rules(rows, cols, vals, rows_n: int, cols_n: int, domain: str)
                 and increasing.all() and (domain == REAL or vals.all()))
 
 
-def _entry_arrays(entries: list, rows_n: int, cols_n: int, domain: str):
-    """(rows, cols, values) of a layer's entries sorted by (row, col), or
-    None if any entry breaks a rule of _raise_first_bad_entry."""
-    if not entries:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, (empty if domain == INTEGER else empty.astype(np.float64))
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
-        return None
-    flat = list(chain.from_iterable(entries))
-    rows, cols = _int64_array(flat[0::3]), _int64_array(flat[1::3])
-    vals = (_int64_array if domain == INTEGER else _finite_float_array)(flat[2::3])
-    if rows is None or cols is None or vals is None:
-        return None
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    return (rows, cols, vals) if _entries_obey_rules(rows, cols, vals, rows_n, cols_n, domain) else None
+def _make_layer(domain: str, rows_n: int, cols_n: int, rows, cols, vals, bias) -> ThresholdLayer:
+    """The layer of arrays that keep the per-entry rules; ValueError past a whole-layer rule."""
+    if domain == REAL:
+        W = np.zeros((rows_n, cols_n))
+        W[rows, cols] = vals
+        return ThresholdLayer.real(W, bias)
+    return ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, bias)
 
 
-def _raise_first_bad_entry(entries: list, rows_n: int, cols_n: int, domain: str, where: str):
-    """Raise SerializationError for the lowest-index entry that breaks a rule.
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
 
-    Called only after _entry_arrays has rejected the layer as a whole, to
-    name the entry and the rule as an entry-by-entry reading would.
-    """
+
+def _entry_problem(e, rows_n: int, cols_n: int, domain: str, seen: set) -> Optional[str]:
+    """The first rule entry e breaks, or None once its (row, col) is in seen."""
+    if not (isinstance(e, list) and len(e) == 3):
+        return "must be [row, col, value]"
+    r, c, v = e
+    if not (isinstance(r, int) and 0 <= r < rows_n):
+        return f"row {r!r} out of range"
+    if not (isinstance(c, int) and 0 <= c < cols_n):
+        return f"col {c!r} out of range"
+    if (r, c) in seen:
+        return f"duplicate entry at ({r}, {c})"
+    seen.add((r, c))
+    if domain == REAL:
+        if not isinstance(v, (int, float)):
+            return f"value must be a number, got {v!r}"
+        return None if _finite(v) else f"value {v!r} is not a finite float64"
+    if not isinstance(v, int):
+        return f"integer layer value must be an int, got {v!r}"
+    if v == 0:
+        return "structural zero not allowed in integer layer"
+    return None if -_INT64_MAX - 1 <= v <= _INT64_MAX else f"value {v} does not fit in int64"
+
+
+def _entry_arrays(entries: list, rows_n: int, cols_n: int, domain: str, where: str):
+    """(rows, cols, values) of a layer's entries in their order; raises
+    SerializationError naming the lowest-index entry that breaks a rule."""
     seen = set()
     for ei, e in enumerate(entries):
-        ew = f"{where}.entries[{ei}]"
-        _expect(isinstance(e, list) and len(e) == 3, ew, "must be [row, col, value]")
-        r, c, v = e
-        _expect(isinstance(r, int) and 0 <= r < rows_n, ew, f"row {r!r} out of range")
-        _expect(isinstance(c, int) and 0 <= c < cols_n, ew, f"col {c!r} out of range")
-        _expect((r, c) not in seen, ew, f"duplicate entry at ({r}, {c})")
-        seen.add((r, c))
-        if domain == INTEGER:
-            _expect(isinstance(v, int), ew, f"integer layer value must be an int, got {v!r}")
-            _expect(v != 0, ew, "structural zero not allowed in integer layer")
-            _expect(-_INT64_MAX - 1 <= v <= _INT64_MAX, ew, f"value {v} does not fit in int64")
-        else:
-            _expect(isinstance(v, (int, float)), ew, f"value must be a number, got {v!r}")
-            _expect(_finite_float_array([v]) is not None, ew, f"value {v!r} is not a finite float64")
-    raise RuntimeError(f"{where}.entries: rejected as a whole, but no entry breaks a rule")
+        problem = _entry_problem(e, rows_n, cols_n, domain, seen)
+        if problem is not None:
+            raise SerializationError(f"{where}.entries[{ei}]: {problem}")
+    # rows and columns are ints below rows_n and cols_n; in a real layer
+    # rows_n * cols_n fits the document, so float64 holds them exactly
+    table = np.array(entries, dtype=np.int64 if domain == INTEGER else np.float64).reshape(-1, 3)
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
 
 
 def _load_layer(entry, where: str, doc_bytes: int) -> ThresholdLayer:
@@ -667,36 +672,28 @@ def _load_layer(entry, where: str, doc_bytes: int) -> ThresholdLayer:
     _expect(isinstance(entry, dict), where, "layer must be an object")
     domain = entry.get("domain")
     _expect(domain in (REAL, INTEGER), f"{where}.domain", f"must be 'real' or 'integer', got {domain!r}")
-    rows_n = entry.get("rows")
-    cols_n = entry.get("cols")
+    rows_n, cols_n = entry.get("rows"), entry.get("cols")
     for key, size in (("rows", rows_n), ("cols", cols_n)):
         _expect(isinstance(size, int) and 1 <= size <= _INT64_MAX, f"{where}.{key}",
                 "must be a positive integer that fits in int64")
-    # a real layer is stored densely; a document that declares one larger
-    # than itself cannot hold its weights, and would only exhaust memory
-    _expect(domain == INTEGER or rows_n * cols_n <= doc_bytes, where,
+    _expect(_fits(domain, rows_n, cols_n, doc_bytes), where,
             f"a real layer of {rows_n} x {cols_n} weights does not fit "
             f"in a {doc_bytes}-byte document")
     bias = entry.get("bias")
     _expect(isinstance(bias, list) and len(bias) == rows_n, f"{where}.bias", f"must be a list of length {rows_n}")
     entries = entry.get("entries")
     _expect(isinstance(entries, list), f"{where}.entries", "must be a list")
-    arrays = _entry_arrays(entries, rows_n, cols_n, domain)
-    if arrays is None:
-        _raise_first_bad_entry(entries, rows_n, cols_n, domain, where)
-    rows, cols, vals = arrays
+    rows, cols, vals = _entry_arrays(entries, rows_n, cols_n, domain, where)
     if domain == REAL:
         _expect(set(map(type, bias)) <= _NUMBER_TYPES, f"{where}.bias", "must be numbers")
         b = _finite_float_array(bias)
         _expect(b is not None, f"{where}.bias", "must be finite float64 numbers")
-        W = np.zeros((rows_n, cols_n))
-        W[rows, cols] = vals
-        return ThresholdLayer.real(W, b)
-    _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
-    b = _int64_array(bias)
-    _expect(b is not None, f"{where}.bias", "integers must fit in int64")
+    else:
+        _expect(set(map(type, bias)) <= _INT_TYPES, f"{where}.bias", "must be integers")
+        b = _int64_array(bias)
+        _expect(b is not None, f"{where}.bias", "integers must fit in int64")
     try:
-        return ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, b)
+        return _make_layer(domain, rows_n, cols_n, rows, cols, vals, b)
     except ValueError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 
@@ -708,8 +705,7 @@ def _read_general(data: bytes) -> ThresholdNetwork:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SerializationError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise SerializationError(
             f"invalid {exc.encoding} text at byte {exc.start}: {exc.reason}") from exc
@@ -724,84 +720,86 @@ def _read_general(data: bytes) -> ThresholdNetwork:
         raise SerializationError(f"$.layers: {exc}") from exc
 
 
-def _parse_ints(text: bytes) -> Optional[np.ndarray]:
-    """Comma-separated integers as int64, or None where numpy cannot read
-    them all. numpy also reads forms json does not write ('01', '+1', ' 1')
-    and saturates past int64, so callers re-encode what it returns."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.fromstring(text, dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):
+def _numbers(domain: str, entries: bytes, bias: bytes):
+    """(rows, cols, values, bias) arrays of a layer's entry and bias text, or None.
+
+    Integer text parses to int64 with no Python object per entry. numpy
+    also reads forms json does not write and saturates past int64, so the
+    numbers count only if the writer gives the text back: no leading zero,
+    '+', '-0' or space, every entry of length 3, nothing past int64. Real
+    text parses as one flat json list once its brackets are blanked, so its
+    brackets and commas must be exactly those of 3-entries; a blank, unlike
+    a deleted bracket, joins no two tokens. Its floats are not written back,
+    as their reprs cost more than the parse.
+    """
+    if domain == INTEGER:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                flat = np.fromstring(entries.translate(None, b"[]"), dtype=np.int64, sep=",")
+                b = np.fromstring(bias, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):  # numpy cannot read them all
+            return None
+        if flat.size % 3:
+            return None
+        rows, cols, vals = flat.reshape(-1, 3).T
+        same = _text((rows, cols, vals), b"[", b"]") == entries and _text((b,)) == bias
+        return (rows, cols, vals, b) if same else None
+    n = entries.count(b"[")
+    if entries.translate(None, _NOT_FRAME) != b",".join([b"[,,]"] * n):
         return None
+    try:
+        flat = json.loads("[%s]" % entries.translate(_BLANK_BRACKETS).decode())
+        b = json.loads("[%s]" % bias.decode())
+    except ValueError:  # not json, or not utf-8
+        return None
+    arrays = (_int64_array(flat[0::3]), _int64_array(flat[1::3]),
+              _finite_float_array(flat[2::3]), _finite_float_array(b))
+    return None if len(flat) != 3 * n or any(a is None for a in arrays) else arrays
 
 
-def _read_integer_layer(data: bytes, pos: int):
-    """(layer, end) for the canonical integer layer at data[pos:end], or None."""
-    head = _INTEGER_HEAD.match(data, pos)
+def _read_layer(data: bytes, pos: int):
+    """(layer, end) for the canonical layer at data[pos:end], or None."""
+    head = _LAYER_HEAD.match(data, pos)
     if head is None:
         return None
-    rows_n, cols_n = int(head[1]), int(head[2])
+    domain, rows_n, cols_n = head[1].decode(), int(head[2]), int(head[3])
     e0 = head.end()
     e1 = data.find(b'],"bias":[', e0)
-    if e1 < 0 or max(rows_n, cols_n) > _INT64_MAX:
-        return None
     b0 = e1 + len(b'],"bias":[')
     b1 = data.find(b"]}", b0)
-    if b1 < 0:
+    if e1 < 0 or b1 < 0 or max(rows_n, cols_n) > _INT64_MAX or not _fits(domain, rows_n, cols_n, len(data)):
         return None
-    entries, bias = _parse_ints(data[e0:e1].translate(None, b"[]")), _parse_ints(data[b0:b1])
-    if entries is None or bias is None or entries.size % 3 or bias.size != rows_n:
-        return None
-    rows, cols, vals = entries.reshape(-1, 3).T
-    # re-encoding gives back the text only if it is canonical: no leading
-    # zero, '+', '-0' or space, every entry of length 3, nothing past int64
-    view = memoryview(data)
-    if (_int_text((rows, cols, vals), b"[", b"]") != view[e0:e1]
-            or _int_text((bias,)) != view[b0:b1]):
-        return None
+    numbers = _numbers(domain, data[e0:e1], data[b0:b1])
+    # the bias length is checked before anything of the declared size exists;
     # serialize writes entries sorted by (row, col), so unsorted ones decline
-    if not _entries_obey_rules(rows, cols, vals, rows_n, cols_n, INTEGER):
+    if (numbers is None or numbers[3].size != rows_n
+            or not _entries_obey_rules(*numbers[:3], rows_n, cols_n, domain)):
         return None
     try:
-        layer = ThresholdLayer.integer_from_entries(rows_n, cols_n, rows, cols, vals, bias)
+        return _make_layer(domain, rows_n, cols_n, *numbers), b1 + 2
     except ValueError:
         return None
-    return layer, b1 + 2
 
 
 def _read_canonical(data: bytes) -> Optional[ThresholdNetwork]:
-    """The network in a document exactly as serialize writes it, or None.
+    """The network in a document in the form serialize writes, or None.
 
-    Accepts only what the general reader accepts, and then the same
-    network; a real layer goes through the general reader's own checks.
+    Accepts only what the general reader accepts, and then the same network;
+    real-layer numbers may take any form json reads.
     """
     head = _DOC_HEAD.match(data) if isinstance(data, bytes) else None
     if head is None:
         return None
-    pos, layers = head.end(), []
-    while True:
-        if data.startswith(_REAL_HEAD, pos):
-            # serialize writes no '}' inside a real layer (no string, no
-            # object), and a prefix of an object's text that parses as an
-            # object is all of it
-            end = data.find(b"}", pos) + 1
-            try:
-                layer = _load_layer(json.loads(data[pos:end]), "", len(data))
-            except ValueError:
-                return None
-        else:
-            found = _read_integer_layer(data, pos)
-            if found is None:
-                return None
-            layer, end = found
-        layers.append(layer)
-        if data.startswith(b",", end):
-            pos = end + 1
-        elif end == len(data) - 2 and data.endswith(b"]}"):
-            break
-        else:
+    pos, layers, more = head.end(), [], True
+    while more:
+        found = _read_layer(data, pos)
+        if found is None:
             return None
+        layers.append(found[0])
+        pos, more = found[1] + 1, data.startswith(b",", found[1])
+    if data[pos - 1:] != b"]}":
+        return None
     try:
         return ThresholdNetwork(layers, input_dim=int(head[1]))
     except ValueError:

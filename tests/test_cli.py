@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,11 @@ from threshmem import construct
 from threshmem.cli import BUILD_PARAMS, build_parser, main
 from threshmem.geometry import Dataset, save_dataset_csv
 from threshmem.netcore import load_network
+
+
+#: a child Python process imports the package from this checkout's src
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run(args):
@@ -578,7 +584,7 @@ def test_build_from_manifest_refuses_non_string_artifact(tmp_path, small_dataset
     manifest.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "threshmem.cli", "build",
                            "--from-manifest", str(manifest)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stdout.splitlines()
     assert json.loads(line)["error"]["message"] == (

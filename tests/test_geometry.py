@@ -76,6 +76,28 @@ def test_zero_norm_rejected_in_angular_mode():
         check_separation(ds, SeparationMode.angular(0.1))
 
 
+def test_angular_check_survives_norm_underflow():
+    # every square of the first row underflows, so its norm came out about
+    # 1e-5 off and its cosines passed 1: the check picked pair (0, 1) at 1e-3
+    # although rows 1 and 2 are 1e-4 apart
+    X = [[1e-160 * math.cos(1e-3), 1e-160 * math.sin(1e-3)], [1.0, 0.0],
+         [math.cos(1e-4), math.sin(1e-4)]]
+    verdict = check_separation(Dataset(X, [0, 1, 0]), SeparationMode.angular(5e-4))
+    assert not verdict.holds
+    assert verdict.worst_pair == (1, 2)
+    assert verdict.worst_value == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_angular_check_survives_norm_overflow():
+    # the first row's norm overflowed to infinity and its unit vector to
+    # zero, so the check reported pair (0, 1) at pi / 2
+    X = [[1e200 * math.cos(1e-4), 1e200 * math.sin(1e-4)], [1.0, 0.0], [0.0, 1.0]]
+    verdict = check_separation(Dataset(X, [0, 1, 0]), SeparationMode.angular(5e-4))
+    assert not verdict.holds
+    assert verdict.worst_pair == (0, 1)
+    assert verdict.worst_value == pytest.approx(1e-4, rel=1e-6)
+
+
 def test_norm_cap_enforced_in_distance_mode():
     ds = Dataset([[1.5, 0.0], [0.0, 0.5]], [0, 1])
     verdict = check_separation(ds, SeparationMode.distance(0.1))
@@ -275,12 +297,19 @@ def _condensed_to_pair(k, n):
     return i, j
 
 
+def pow2_scaled(X):
+    """Each row of X times the power of two that puts its largest |x| in
+    [0.5, 1): exact, and no square in its norm under- or overflows."""
+    return np.ldexp(X, -np.frexp(np.abs(X).max(axis=1))[1][:, None])
+
+
 def reference_check_separation(ds, mode, tol=DEFAULT_TOL):
     """The check before the blocked scan: a full n x n Gram matrix (angular)
     or pdist's condensed distances (distance), O(n^2) memory."""
     X = ds.features
     n = ds.n
     if mode.is_angular:
+        X = pow2_scaled(X)
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms == 0):
             raise ZeroNormError("angular separation undefined for zero-norm vectors")
@@ -342,7 +371,7 @@ def test_blocked_scan_matches_whole_matrix_check(X, delta, block):
         assert dist == reference_check_separation(ds, SeparationMode.distance(delta))
 
         mode = SeparationMode.angular(delta)
-        if np.any(np.linalg.norm(X, axis=1) == 0):
+        if not X.any(axis=1).all():  # a row of zeros
             with pytest.raises(ZeroNormError):
                 check_separation(ds, mode)
             return
@@ -352,7 +381,8 @@ def test_blocked_scan_matches_whole_matrix_check(X, delta, block):
     if ref.worst_pair is None:
         assert ang == ref
         return
-    U = X / np.linalg.norm(X, axis=1)[:, None]
+    S = pow2_scaled(X)
+    U = S / np.linalg.norm(S, axis=1)[:, None]
     gram = np.clip(U @ U.T, -1.0, 1.0)
     best = gram[ref.worst_pair]
     i, j = ang.worst_pair

@@ -1,8 +1,10 @@
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from threshmem import netcore
+from threshmem.cli import main
 from threshmem.construct import ConstructionConfig, construct_memorizer
 from threshmem.geometry import SeparationMode, generate_separated_dataset
 from threshmem.netcore import (
@@ -26,8 +30,14 @@ from threshmem.netcore import (
     evaluate_layers,
     forward,
     forward_batch,
+    load_network,
     serialize,
 )
+
+
+#: a child Python process imports the package from this checkout's src
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def single_layer_net(W, b, domain="real"):
@@ -182,6 +192,21 @@ def test_integer_layer_rejects_float_past_int64(bad):
         ThresholdLayer.integer(np.array([[bad, 1.0]]), np.array([0]))
     with pytest.raises(ValueError, match=f"bias {re.escape(str(bad))} is not an integer"):
         ThresholdLayer.integer(np.array([[1, 1]]), np.array([bad]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [2**63, 2**64 - 1])
+def test_integer_layer_rejects_uint64_past_int64(bad):
+    # the int64 cast wrapped these: 2^64 - 1 became the weight -1, and a
+    # bias of 2^63 was refused with a made-up row sum that did not name it
+    W = np.array([[bad, 1]], dtype=np.uint64)
+    for weights in (W, sparse.csr_array(W)):
+        with pytest.raises(ValueError, match=f"weight {bad} is not an integer"):
+            ThresholdLayer.integer(weights, np.array([0]))
+    with pytest.raises(ValueError, match=f"bias {bad} is not an integer"):
+        ThresholdLayer.integer(np.array([[1, 1]]), np.array([bad], dtype=np.uint64))
+    top = ThresholdLayer.integer(np.array([[INT64_MAX]], dtype=np.uint64), np.array([0]))
+    assert top.weights.data.tolist() == [INT64_MAX]
 
 
 def test_network_shape_validation():
@@ -411,7 +436,8 @@ ENTRY = re.compile(rb"\[[^\[\]]*\]")
 #: number tokens serialize never writes: forms numpy's integer parser reads
 #: anyway, non-integers, and values at or past the int64 bounds
 ODD_TOKENS = (b"01", b"+1", b"-0", b"00", b" 1", b"1 ", b"1.0", b"1e3", b"0x1",
-              b"99999999999999999999", b"-9223372036854775809", b"9223372036854775807")
+              b"99999999999999999999", b"-9223372036854775809", b"9223372036854775807",
+              b"1.50", b"1E3", b"NaN", b"Infinity", b"true", b"null", b'"1"', b"[1]", b"{}")
 
 
 @st.composite
@@ -468,6 +494,53 @@ def test_canonical_reader_equals_general_reader(net, data):
     bad = data.draw(mutated(blob))
     fast = _read_canonical(bad)
     assert fast is None or fast == general_or_none(bad)
+
+
+@pytest.mark.parametrize("entries", [b"[0,0,1.5],[0,1,2.5e+16]0", b"[0,0,1.5]2,[0,1,3]",
+                                     b"[0,0,1.5],1[0,1,3]", b"[0,0,1.5],[0,1]", b"5", b"0"])
+def test_canonical_reader_keeps_real_entries_apart(entries):
+    # a reader that deleted the brackets would join 2.5e+16]0 into
+    # 2.5e+160, and 1.5]2 into 1.52
+    doc = (b'{"input_dim":2,"layers":[{"domain":"real","rows":1,"cols":2,"entries":[%s],'
+           b'"bias":[0.0]}]}' % entries)
+    assert _read_canonical(doc) is None
+    with pytest.raises(SerializationError):
+        deserialize(doc)
+
+
+def _must_not_run(*args):
+    raise AssertionError("called")
+
+
+@given(networks())
+@settings(max_examples=100, deadline=None)
+def test_canonical_reader_reads_every_layer_itself(net):
+    blob = serialize(net)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcore, "_load_layer", _must_not_run)
+        assert deserialize(blob) == net
+
+
+@pytest.mark.parametrize("mode", ["distance", "angular"])
+def test_canonical_reader_reads_built_networks_itself(tmp_path, monkeypatch, mode):
+    data, net = tmp_path / "ds.csv", tmp_path / "net.json"
+    assert main(["generate", "--n", "128", "--d", "8", "--delta", "0.2", "--seed", "2",
+                 "--mode", mode, "--out", str(data)]) == 0
+    assert main(["build", "--dataset", str(data), "--mode", mode, "--delta", "0.2",
+                 "--out", str(net), "--report", str(tmp_path / "r.json")]) == 0
+    monkeypatch.setattr(netcore, "_load_layer", _must_not_run)
+    assert serialize(load_network(net)) == net.read_bytes()
+
+
+def test_canonical_reader_refuses_real_layer_larger_than_document(monkeypatch):
+    # the compact form of test_deserialize_refuses_real_layer_larger_than_document's
+    # document, which the canonical reader sees: refused before any layer is built
+    monkeypatch.setattr(netcore, "_make_layer", _must_not_run)
+    doc = (b'{"input_dim":200000000,"layers":[{"domain":"real","rows":1,"cols":200000000,'
+           b'"entries":[],"bias":[0.0]}]}')
+    assert _read_canonical(doc) is None
+    with pytest.raises(SerializationError, match=r"^\$\.layers\[0\]: a real layer of 1 x 200000000"):
+        deserialize(doc)
 
 
 def _doc(domain, entries, bias, rows=1, cols=2):
@@ -564,7 +637,7 @@ def test_deserialize_refuses_real_layer_larger_than_document():
         "sys.exit(1)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("$.layers[0]: a real layer of 1 x 200000000 weights")
 
