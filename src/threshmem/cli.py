@@ -63,7 +63,11 @@ def _write_json(path, payload) -> None:
 
 
 def _read_json(path):
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 #: The output flags, in the order a manifest lists them; the first one

@@ -5,9 +5,13 @@ labels. Separation between points is measured either as the pairwise angle
 (angular mode) or as the pairwise Euclidean distance with a unit-norm cap
 (distance mode). The check is exact: it compares every pair, in O(n^2)
 time with no approximate nearest-neighbor shortcut, but it scans the pairs
-in row blocks, so its memory is bounded by one block rather than n^2.
-Generation rejection-samples candidates in batches, yet accepts exactly
-the points that testing one candidate at a time would.
+in row blocks, so its memory is bounded by one block rather than n^2. In
+distance mode a block holds Gram-form squared distances from one gemm;
+they only shortlist the pairs that could be the closest, with a margin
+sized to their rounding error, and those pairs are measured in exact
+arithmetic, the same as pdist's. Generation rejection-samples candidates
+in batches, yet accepts exactly the points that testing one candidate at
+a time would.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 #: Absolute tolerance absorbing floating-point normalization error in
 #: distance/angle comparisons.
@@ -33,6 +36,14 @@ REJECTIONS_PER_POINT = 1000
 #: block this size stays in cache and wastes little work on pairs below
 #: the diagonal; 8 MB blocks were slower in both modes.
 SCAN_BLOCK = 1 << 17
+
+#: Machine epsilon and the smallest normal float64, for rounding-error bounds.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+#: The Gram form is trusted only while the squared norms of a pair sum to
+#: at most this, so that no square, product or distance overflows.
+_GRAM_SCALE = 2.0 ** 1000
 
 ANGULAR = "angular"
 DISTANCE = "distance"
@@ -130,16 +141,110 @@ class SeparationVerdict:
     max_norm: Optional[float] = None
 
 
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _gram_distances(A: np.ndarray, sqa: np.ndarray, B: np.ndarray,
+                    sqb: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared distances of the rows of A and B in Gram form, and a bound on
+    their error.
+
+    sqa and sqb hold the rows' squared norms. Entry [r, c] is
+    (sqa[r] - 2 A[r]·B[c]) + sqb[c], from one gemm. With u = eps/2,
+    N = max sqa + max sqb and τ the smallest normal float: each squared
+    norm is within γ_d·‖a‖² of the true one and each product a·b within
+    γ_d·‖a‖‖b‖ ≤ γ_d·N/2, in any summation order, with FMA or without;
+    doubling is exact, and the two additions round by at most 2uN and
+    3uN. A product that underflows (|x| ≲ 1e-154) errs by less than τ
+    instead, 4d·τ in all. So an entry is within (2d + 5)·u·N + 4d·τ,
+    to first order in u, of the true squared distance. The returned bound
+    4(d + 2)(eps·N + 4τ) is more than three times that.
+
+    Past N = 2^1000 (|x| ≳ 1e150) a square or an entry may overflow, and
+    the bound is inf: no entry can be trusted.
+    """
+    d = A.shape[1]
+    scale = float(sqa.max() + sqb.max())  # N
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = A @ B.T
+        block *= -2.0
+        block += sqa[:, None]
+        block += sqb
+    if not scale <= _GRAM_SCALE:
+        return block, math.inf
+    return block, 4 * (d + 2) * (_EPS * scale + 4 * _TINY)
+
+
+def _exact_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances of A[k] and B[k] for each k in pdist's and cdist's own
+    arithmetic: the squared differences summed left to right, then sqrt.
+    A and B must have at least one column; A is overwritten."""
+    with np.errstate(over="ignore"):
+        A -= B
+        np.multiply(A, A, out=A)
+        return np.sqrt(np.cumsum(A, axis=1, out=A)[:, -1])
+
+
+def _shortlist_minimum(X: np.ndarray, i0: int, block: np.ndarray,
+                       err: float) -> tuple[int, float]:
+    """Flat index into `block` of its exactly closest pair, and the distance.
+
+    block[r, c] is the Gram-form squared distance of rows i0 + r and
+    i0 + 1 + c of X, +inf where masked, and `err` its error bound from
+    _gram_distances. Only the pairs within 2·err of the block's least value
+    are measured exactly (_exact_distances), in chunks of at most
+    SCAN_BLOCK values; the first least one in row-major order wins. If err
+    is inf, every pair of the block is measured.
+
+    Why a pair left out can neither beat nor tie the winner (u, N and τ as
+    in _gram_distances). Let q hold the least Gram value g_q and p be left
+    out, g_p > g_q + 2·err. Let s be a pair's exact sum of squares before
+    the sqrt; it is within F = 2(d + 2)·u·N + d·τ of the true squared
+    distance D² ≤ 2N (each difference and square rounds by u, the sum by
+    γ_{d-1}, an underflowing square by less than τ). With err's true part
+    E = (2d + 5)·u·N + 4d·τ:
+      s_p ≥ g_p - E - F > g_q + 2·err - E - F ≥ s_q + 2·err - 2E - 2F,
+    and 2·err - 2E - 2F ≥ (8d + 14)·u·N + (22d + 64)·τ > 5u·s_q, since
+    s_q ≤ 2N + F. So s_p > (1 + 5u)·s_q, and the correctly rounded sqrt
+    keeps dist_p > dist_q ≥ the winner's distance.
+    """
+    rows, cols = block.shape
+    if math.isfinite(err):
+        flat = np.flatnonzero(block <= block.min() + 2 * err)
+    else:
+        flat = np.flatnonzero(~np.tri(rows, cols, k=-1, dtype=bool))
+    best_k, best = -1, math.inf
+    step = max(1, SCAN_BLOCK // X.shape[1])
+    for s in range(0, len(flat), step):
+        k = flat[s:s + step]
+        r, c = np.divmod(k, cols)
+        dist = _exact_distances(X[i0 + r], X[i0 + 1 + c])
+        m = int(np.argmin(dist))
+        if best_k < 0 or dist[m] < best:
+            best_k, best = int(k[m]), float(dist[m])
+        if best == 0.0:  # nothing is closer, and a tie goes to the earlier pair
+            break
+    return best_k, best
+
+
 def _closest_pair(X: np.ndarray, angular: bool) -> tuple[tuple[int, int], float]:
     """The closest pair i < j of the rows of X (at least two) and its value.
 
     Angular: the largest dot product, clipped to [-1, 1], of rows that the
     caller has scaled to unit norm. Otherwise: the smallest Euclidean
-    distance. Ties go to the first pair in row-major order. Rows are
-    scanned in blocks against all later rows, each block holding at most
-    SCAN_BLOCK values (at least one row), and the best pair so far is kept.
+    distance, equal to pdist's bit for bit. Ties go to the first pair in
+    row-major order. Rows are scanned in blocks against all later rows,
+    each block holding at most SCAN_BLOCK values (at least one row), and
+    the best pair so far is kept. In distance mode a block holds Gram-form
+    squared distances, which only shortlist the pairs that are then
+    measured exactly (_shortlist_minimum).
     """
     n = X.shape[0]
+    if not angular:
+        if X.shape[1] == 0:  # every pair is at distance 0
+            return (0, 1), 0.0
+        sq = _squared_norms(X)
     best_pair, best = None, None
     i0 = 0
     while i0 < n - 1:
@@ -150,15 +255,20 @@ def _closest_pair(X: np.ndarray, angular: bool) -> tuple[tuple[int, int], float]
             block = X[i0:i0 + rows] @ later.T
             np.clip(block, -1.0, 1.0, out=block)
         else:
-            block = cdist(X[i0:i0 + rows], later)
+            block, err = _gram_distances(X[i0:i0 + rows], sq[i0:i0 + rows], later, sq[i0 + 1:])
         # block[r, c] pairs rows i0 + r and i0 + 1 + c: c < r is a pair at
         # or below the diagonal, seen already or a row with itself
         block[:, :rows][np.tri(rows, k=-1, dtype=bool)] = -np.inf if angular else np.inf
-        k = int(np.argmax(block) if angular else np.argmin(block))
-        value = float(block.flat[k])
+        if angular:
+            k = int(np.argmax(block))
+            value = float(block.flat[k])
+        else:
+            k, value = _shortlist_minimum(X, i0, block, err)
         if best is None or (value > best if angular else value < best):
             r, c = divmod(k, cols)
             best_pair, best = (i0 + r, i0 + 1 + c), value
+        if best == 0.0 and not angular:  # no later pair can be closer
+            break
         i0 += rows
     return best_pair, best
 
@@ -245,6 +355,7 @@ PROPOSAL_BATCH = 256
 #: than this from the threshold: relative for distances, absolute for
 #: cosines of unit vectors. Blocked products round differently from the
 #: one-candidate arithmetic, but only by about d * 2.2e-16, far inside it.
+#: Distances are tested in Gram form, whose own error bound is added.
 SAMPLE_MARGIN = 1e-9
 
 #: Pair verdicts, ordered so that a candidate's verdict is their minimum.
@@ -259,9 +370,12 @@ def _pair_verdicts(cands: np.ndarray, rows: np.ndarray, min_sep: float,
         cos = cands @ rows.T
         threshold = math.cos(min_sep)
         return (cos < threshold - SAMPLE_MARGIN).view(np.int8) - (cos > threshold + SAMPLE_MARGIN)
-    dist = cdist(cands, rows)
-    return ((dist > min_sep * (1 + SAMPLE_MARGIN)).view(np.int8)
-            - (dist < min_sep * (1 - SAMPLE_MARGIN)))
+    # a Gram value past the margin by more than err is a squared distance
+    # past it: err bounds the Gram form's error and, with room to spare, the
+    # one-candidate arithmetic's underflow; the margin covers its rounding
+    sq, err = _gram_distances(cands, _squared_norms(cands), rows, _squared_norms(rows))
+    return ((sq > (min_sep * (1 + SAMPLE_MARGIN)) ** 2 + err).view(np.int8)
+            - (sq < (min_sep * (1 - SAMPLE_MARGIN)) ** 2 - err))
 
 
 def _separated(cand: np.ndarray, accepted: np.ndarray, min_sep: float, angular: bool) -> bool:

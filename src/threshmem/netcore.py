@@ -709,6 +709,8 @@ def _read_general(data: bytes) -> ThresholdNetwork:
     except UnicodeDecodeError as exc:
         raise SerializationError(
             f"invalid {exc.encoding} text at byte {exc.start}: {exc.reason}") from exc
+    except RecursionError:
+        raise SerializationError("invalid JSON: nested too deeply") from None
     _expect(isinstance(doc, dict), "$", "document must be an object")
     _expect(isinstance(doc.get("input_dim"), int), "$.input_dim", "missing or non-integer")
     raw_layers = doc.get("layers")
@@ -751,7 +753,7 @@ def _numbers(domain: str, entries: bytes, bias: bytes):
     try:
         flat = json.loads("[%s]" % entries.translate(_BLANK_BRACKETS).decode())
         b = json.loads("[%s]" % bias.decode())
-    except ValueError:  # not json, or not utf-8
+    except (ValueError, RecursionError):  # not json, not utf-8, or nested too deeply
         return None
     arrays = (_int64_array(flat[0::3]), _int64_array(flat[1::3]),
               _finite_float_array(flat[2::3]), _finite_float_array(b))

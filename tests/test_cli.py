@@ -338,7 +338,9 @@ def assert_one_error_line(argv):
         code = run(argv)
     assert code in (1, 2)
     [line] = out.getvalue().splitlines()
-    assert json.loads(line)["error"]["code"] == code
+    error = json.loads(line)["error"]
+    assert error["code"] == code
+    return error
 
 
 @given(data=st.data())
@@ -399,6 +401,52 @@ def test_faulty_network_json_gives_one_error_line(fuzz_base, data):
     assert_one_error_line(["eval", "--network", path, "--dataset", root / "ds.csv",
                            "--out", root / "preds.csv", "--summary", root / "summary.json"])
     assert_one_error_line(["audit", "--network", path, "--out", root / "audit.json"])
+
+
+def assert_contract_error(argv, message):
+    error = assert_one_error_line(argv)
+    assert error["code"] == 2 and error["message"].endswith(message)
+
+
+#: past Python's recursion limit, where json raises RecursionError
+DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("where", ["document", "real bias"])
+def test_deeply_nested_network_json_is_contract_error(fuzz_base, where):
+    root, _, net = fuzz_base
+    blob = net.read_bytes()
+    if where == "real bias":  # the canonical reader parses this text itself
+        i = blob.index(b'"bias":[', blob.index(b'"real"')) + len(b'"bias":[')
+        blob = blob[:i] + DEEP + blob[blob.index(b"]}", i):]
+    else:
+        blob = DEEP
+    path = root / "deep.json"
+    path.write_bytes(blob)
+    message = "invalid JSON: nested too deeply"
+    assert_contract_error(["eval", "--network", path, "--dataset", root / "ds.csv",
+                           "--out", root / "preds.csv", "--summary", root / "summary.json"],
+                          message)
+    assert_contract_error(["audit", "--network", path, "--out", root / "audit.json"], message)
+
+
+def test_deeply_nested_planes_or_manifest_json_is_contract_error(fuzz_base):
+    root = fuzz_base[0]
+    path = root / "deep_input.json"
+    path.write_bytes(DEEP)
+    message = f"{path}: invalid JSON: nested too deeply"
+    assert_contract_error(["separate", "--points", root / "ds.csv", "--planes", path,
+                           "--out", root / "sep.json"], message)
+    assert_contract_error(["build", "--from-manifest", path], message)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # the separation scans need no scipy.spatial, whose import costs every
+    # fresh process about 0.2 s and 17 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threshmem.cli; print('scipy.spatial' in sys.modules)"],
+        env=CHILD_ENV, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_separate_rejects_non_bit_label(tmp_path, capsys):

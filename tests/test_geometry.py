@@ -520,3 +520,101 @@ def test_batched_sampler_memory_is_bounded():
         tracemalloc.stop()
     # the accepted points (0.5 MB) plus a few blocks of SCAN_BLOCK values
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The Gram-form distance kernel against pdist and the one-candidate loop
+
+
+@st.composite
+def stressed_point_sets(draw):
+    """Point sets on which the Gram form's rounding error matters: a large
+    common offset with gaps down to 1e-7, exact duplicates and grid ties,
+    and coordinates near 1e±154, where squares underflow or overflow."""
+    n = draw(st.integers(2, 32))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # a grid: many pairs equally far apart
+        X = rng.integers(-3, 4, size=(n, d)).astype(float)
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(n, d))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        X[dst] = X[src]
+    if draw(st.booleans()):
+        offset = rng.standard_normal(d)
+        offset *= draw(st.sampled_from([0.5, 0.999, 1.0, 4.0])) / np.linalg.norm(offset)
+        X = offset + draw(st.sampled_from([1e-7, 1e-6, 1e-4, 1e-2])) * X
+    else:
+        X = X * 10.0 ** draw(st.sampled_from([-170, -161.5, -160.5, -159.5, -155, -154, -150,
+                                              150, 153, 153.5, 154, 155, 160, 300]))
+    if draw(st.booleans()):  # a few rows at another scale, if still finite
+        rows = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        Y = X.copy()
+        Y[rows] *= 10.0 ** draw(st.sampled_from([-154, 154]))
+        X = Y if np.isfinite(Y).all() else X
+    return X
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@given(stressed_point_sets(), st.sampled_from([1e-7, 0.05, 1.0]),
+       st.sampled_from([1, 2, 3, 5, 8, 17, 64]))
+@settings(max_examples=300, deadline=None)
+def test_gram_scan_matches_pdist_on_stressed_points(X, delta, block):
+    ds = Dataset(X, np.zeros(len(X)))
+    mode = SeparationMode.distance(delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "SCAN_BLOCK", block)
+        got = check_separation(ds, mode)
+    assert got == reference_check_separation(ds, mode)
+
+
+@given(d=st.integers(2, 3), extra=st.sampled_from([0, 7, 15]),
+       min_sep=st.sampled_from([1e-6, 1e-5, 1e-4, 1e-2]), offset=st.sampled_from([0.5, 1.0, 4.0]),
+       count=st.integers(1, 24), patience=st.integers(1, 4), batch=st.integers(1, 8),
+       block=st.sampled_from([1, 2, 3, 5, 16, 64]), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_gram_sampler_matches_one_candidate_loop_on_offset_lattices(
+        d, extra, min_sep, offset, count, patience, batch, block, seed):
+    # far from the origin the Gram form's absolute error is as large as
+    # the relative SAMPLE_MARGIN at these spacings
+    rows = _lattice(False, d, min_sep, extra, seed)
+    shift = np.random.default_rng(seed).standard_normal(d + extra)
+    rows = rows + offset * shift / np.linalg.norm(shift)
+    draw = lambda rng: rows[rng.integers(len(rows))]
+    one_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "REJECTIONS_PER_POINT", patience)
+        mp.setattr(geometry, "PROPOSAL_BATCH", batch)
+        mp.setattr(geometry, "SCAN_BLOCK", block)
+        expected = _outcome(reference_sample_separated, lambda: draw(one_rng), one_rng,
+                            count, d + extra, min_sep, False)
+        got = _outcome(geometry.sample_separated,
+                       lambda k: np.array([draw(batch_rng) for _ in range(k)]), batch_rng,
+                       count, d + extra, min_sep, False)
+    assert got == expected
+
+
+@pytest.mark.parametrize("points", ["random", "duplicates", "cloud"])
+def test_distance_scan_memory_is_bounded(points):
+    # with every point the same, or all within the Gram form's rounding
+    # error of each other, every pair makes the exact shortlist
+    duplicates = points == "duplicates"
+    if points == "random":
+        X = sample_sphere_uniform(8, 1.0, 8192, seed=3)
+    elif duplicates:
+        X = np.full((8192, 8), 0.25)
+    else:
+        X = 0.5 + 1e-12 * np.random.default_rng(3).standard_normal((8192, 2))
+    ds = Dataset(X, np.zeros(len(X)))
+    tracemalloc.start()
+    try:
+        verdict = check_separation(ds, SeparationMode.distance(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if duplicates:
+        assert (verdict.worst_pair, verdict.worst_value) == ((0, 1), 0.0)
+    # one block of pair values (1 MB), its shortlist and one exact chunk;
+    # the 8192 x 8192 distance matrix would take 512 MB
+    assert peak < 16 * 2**20
