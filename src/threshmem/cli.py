@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,15 @@ def cmd_generate(args) -> None:
     _info(f"generated {ds.n} points in d={ds.dim} -> {args.out}")
 
 
+_HINTS = typing.get_type_hints(construct.ConstructionConfig)
+
+#: A build's tunable parameters: every ConstructionConfig field but mode
+#: (--mode, --delta) and seed (--seed). Each has the types of its annotation,
+#: (X, NoneType) for Optional[X], and the flag --name with `_` as `-`.
+TUNABLE = [(f, typing.get_args(_HINTS[f.name]) or (_HINTS[f.name],))
+           for f in dataclasses.fields(construct.ConstructionConfig)
+           if f.name not in ("mode", "seed")]
+
 #: The parameters a build manifest records, with the JSON types a replay
 #: accepts for each: those its flag's type would parse.
 BUILD_PARAMS = {
@@ -124,10 +134,7 @@ BUILD_PARAMS = {
     "mode": (str,),
     "delta": (int, float),
     "seed": (int,),
-    "eps1": (int, float),
-    "eps2": (int, float),
-    "c_dist": (int, float),
-    "max_retries": (int,),
+    **{f.name: (int, *types) if float in types else types for f, types in TUNABLE},
 }
 
 
@@ -147,7 +154,7 @@ def _replay_manifest(args) -> None:
             expected = " or ".join(t.__name__ for t in types)
             raise ValueError(f"{args.from_manifest}: params.{key} must be {expected}, "
                              f"got {value!r}")
-        if float in types:  # as its flag converts it
+        if float in types and isinstance(value, int):  # as its flag converts it
             try:
                 value = float(value)
             except OverflowError:
@@ -168,14 +175,8 @@ def cmd_build(args) -> None:
         raise ValueError("build requires --dataset, --delta, --out and --report")
 
     ds = geometry.load_dataset_csv(args.dataset)
-    cfg = construct.ConstructionConfig(
-        mode=_mode(args.mode, args.delta),
-        eps1=args.eps1,
-        eps2=args.eps2,
-        seed=args.seed,
-        max_retries=args.max_retries,
-        c_dist=args.c_dist,
-    )
+    cfg = construct.ConstructionConfig(mode=_mode(args.mode, args.delta), seed=args.seed,
+                                       **{f.name: getattr(args, f.name) for f, _ in TUNABLE})
     net, report = construct.construct_memorizer(ds, cfg)
     netcore.save_network(net, args.out)
     _write_json(args.report, report.to_json_dict())
@@ -233,8 +234,7 @@ def cmd_separate(args) -> None:
         raise ValueError(f'{args.planes}: expected {{"planes": [...]}}')
     planes = [_plane(entry, f"{args.planes}: plane {k}", ds.dim)
               for k, entry in enumerate(raw["planes"])]
-    mode = lowerbound.ALL_PAIRS if args.mode == "all" else lowerbound.OPPOSITE_LABEL_PAIRS
-    result = lowerbound.count_separated_pairs(ds.features, ds.labels, planes, mode)
+    result = lowerbound.count_separated_pairs(ds.features, ds.labels, planes, args.mode)
     payload = {
         "mode": args.mode,
         "separated": result.separated,
@@ -344,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest",
                         help="manifest path (default: <stem>.manifest.json beside the first output)")
 
+    modes = dict(choices=[geometry.ANGULAR, geometry.DISTANCE], default=geometry.DISTANCE)
+
     def command(name, func, help):
         p = sub.add_parser(name, parents=[common], help=help)
         p.set_defaults(func=func)
@@ -352,21 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("generate", cmd_generate, help="generate a separated dataset CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mode", choices=["angular", "distance"], default="distance")
+    p.add_argument("--mode", **modes)
     p.add_argument("--delta", type=float, required=True)
     _add_seed(p)
     p.add_argument("--out", required=True)
 
     p = command("build", cmd_build, help="construct a memorizing network")
     p.add_argument("--dataset")
-    p.add_argument("--mode", choices=["angular", "distance"], default="distance")
+    p.add_argument("--mode", **modes)
     p.add_argument("--delta", type=float)
     _add_seed(p)
-    defaults = {f.name: f.default for f in dataclasses.fields(construct.ConstructionConfig)}
-    p.add_argument("--eps1", type=float, default=defaults["eps1"])
-    p.add_argument("--eps2", type=float, default=defaults["eps2"])
-    p.add_argument("--c-dist", dest="c_dist", type=float, default=defaults["c_dist"])
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=defaults["max_retries"])
+    for f, types in TUNABLE:
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=f.default,
+                       type=next(t for t in types if t is not type(None)))
     p.add_argument("--out")
     p.add_argument("--report")
     p.add_argument("--from-manifest", dest="from_manifest",
@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("separate", cmd_separate, help="count hyperplane-separated pairs")
     p.add_argument("--points", required=True, help="dataset CSV (cluster column optional)")
     p.add_argument("--planes", required=True, help='JSON {"planes": [{"normal": [...], "offset": b}]}')
-    p.add_argument("--mode", choices=["all", "opposite"], default="opposite")
+    p.add_argument("--mode", choices=[lowerbound.ALL_PAIRS, lowerbound.OPPOSITE_LABEL_PAIRS],
+                   default=lowerbound.OPPOSITE_LABEL_PAIRS)
     p.add_argument("--out", required=True)
 
     p = command("bits", cmd_bits, help="bit-complexity bounds for a query")
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep", cmd_sweep, help="size scaling across deltas")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mode", choices=["angular", "distance"], default="distance")
+    p.add_argument("--mode", **modes)
     p.add_argument("--deltas", type=_delta_list, required=True,
                    help="comma-separated list, e.g. 0.4,0.2,0.1,0.05")
     p.add_argument("--seeds", type=int, default=3, help="number of seeds per delta")
@@ -436,11 +437,9 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as exc:
         code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         error = {"code": code, "type": type(exc).__name__, "message": str(exc)}
-        # the closest pair of a failed separation check or retry budget
-        culprit = getattr(exc, "verdict", None) or exc
-        if hasattr(culprit, "worst_pair"):
-            error["worst_pair"] = list(culprit.worst_pair) if culprit.worst_pair else None
-            error["worst_value"] = culprit.worst_value
+        if hasattr(exc, "worst_pair"):  # a failed separation check or retry budget
+            error["worst_pair"] = list(exc.worst_pair) if exc.worst_pair else None
+            error["worst_value"] = exc.worst_value
         print(json.dumps({"error": error}, sort_keys=True))
         _info(f"error: {exc}")
         return code

@@ -22,7 +22,7 @@ retry cap turns persistent failure into a loud error.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -45,9 +45,10 @@ FAILURES_BEFORE_WIDEN = 3
 class DatasetNotSeparatedError(ValueError):
     """The dataset violates the separation precondition of the builder."""
 
-    def __init__(self, message, verdict=None):
+    def __init__(self, message, worst_pair=None, worst_value=None):
         super().__init__(message)
-        self.verdict = verdict
+        self.worst_pair = worst_pair
+        self.worst_value = worst_value
 
 
 class ConstructionRetryError(RuntimeError):
@@ -537,11 +538,7 @@ class ConstructionReport:
             "input_dim": self.input_dim,
             "mode": cfg.mode.kind,
             "delta": cfg.mode.delta,
-            "seed": cfg.seed,
-            "eps1": cfg.eps1,
-            "eps2": cfg.eps2,
-            "c_dist": cfg.c_dist,
-            "max_retries": cfg.max_retries,
+            **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "mode"},
             "dims": {"d1": self.d1, "d2": self.d2, "d3": self.d3, "K": self.K,
                      "max_subset_size": self.max_subset_size},
             "xor_gadget_neurons": self.xor_gadget_neurons,
@@ -571,7 +568,7 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
             f"dataset is not {cfg.mode.kind}-separated at delta={cfg.mode.delta}: "
             f"worst pair {verdict.worst_pair} at {verdict.worst_value:.6g}"
             + ("" if verdict.max_norm is None else f", max norm {verdict.max_norm:.6g}"),
-            verdict=verdict,
+            verdict.worst_pair, verdict.worst_value,
         )
 
     first = build_first_layer(ds, cfg)

@@ -6,12 +6,12 @@ labels. Separation between points is measured either as the pairwise angle
 (distance mode). The check is exact: it compares every pair, in O(n^2)
 time with no approximate nearest-neighbor shortcut, but it scans the pairs
 in row blocks, so its memory is bounded by one block rather than n^2. In
-distance mode a block holds Gram-form squared distances from one gemm;
-they only shortlist the pairs that could be the closest, with a margin
-sized to their rounding error, and those pairs are measured in exact
-arithmetic, the same as pdist's. Generation rejection-samples candidates
-in batches, yet accepts exactly the points that testing one candidate at
-a time would.
+distance mode a block holds Gram-form squared distances from one gemm of
+the rows less their mean; they only shortlist the pairs that could be the
+closest, with a margin sized to their rounding error, and those pairs are
+measured in exact arithmetic, the same as pdist's. Generation
+rejection-samples candidates in batches, yet accepts exactly the points
+that testing one candidate at a time would.
 """
 
 from __future__ import annotations
@@ -191,23 +191,28 @@ def _shortlist_minimum(X: np.ndarray, i0: int, block: np.ndarray,
     """Flat index into `block` of its exactly closest pair, and the distance.
 
     block[r, c] is the Gram-form squared distance of rows i0 + r and
-    i0 + 1 + c of X, +inf where masked, and `err` its error bound from
-    _gram_distances. Only the pairs within 2·err of the block's least value
-    are measured exactly (_exact_distances), in chunks of at most
-    SCAN_BLOCK values; the first least one in row-major order wins. If err
-    is inf, every pair of the block is measured.
+    i0 + 1 + c of X, each less a common vector μ and rounded, +inf where
+    masked, and `err` its error bound from _gram_distances. Only the pairs
+    within 2·err of the block's least value are measured exactly
+    (_exact_distances), in chunks of at most SCAN_BLOCK values; the first
+    least one in row-major order wins. If err is inf, every pair of the
+    block is measured.
 
     Why a pair left out can neither beat nor tie the winner (u, N and τ as
-    in _gram_distances). Let q hold the least Gram value g_q and p be left
-    out, g_p > g_q + 2·err. Let s be a pair's exact sum of squares before
-    the sqrt; it is within F = 2(d + 2)·u·N + d·τ of the true squared
-    distance D² ≤ 2N (each difference and square rounds by u, the sum by
-    γ_{d-1}, an underflowing square by less than τ). With err's true part
-    E = (2d + 5)·u·N + 4d·τ:
+    in _gram_distances, N of the rows less μ). The translation keeps every
+    true distance D, and a subtraction's rounding is relative, as one that
+    underflows is exact: with a, b the rows less μ, it moves a pair's
+    squared distance by at most 2D·u(‖a‖ + ‖b‖) ≤ 4u·N, to first order in
+    u. Let q hold the least Gram value g_q and p be left out,
+    g_p > g_q + 2·err. Let s be a pair's exact sum of squares before the
+    sqrt; it is within F = 2(d + 2)·u·N + d·τ of D² ≤ 2N (each difference
+    and square rounds by u, the sum by γ_{d-1}, an underflowing square by
+    less than τ). With E = (2d + 9)·u·N + 4d·τ, err's true part and the
+    translation's 4u·N:
       s_p ≥ g_p - E - F > g_q + 2·err - E - F ≥ s_q + 2·err - 2E - 2F,
-    and 2·err - 2E - 2F ≥ (8d + 14)·u·N + (22d + 64)·τ > 5u·s_q, since
-    s_q ≤ 2N + F. So s_p > (1 + 5u)·s_q, and the correctly rounded sqrt
-    keeps dist_p > dist_q ≥ the winner's distance.
+    and 2·err - 2E - 2F ≥ (8d + 6)·u·N + (22d + 64)·τ > 5u·s_q, since
+    s_q ≤ 2N + F and d ≥ 1. So s_p > (1 + 5u)·s_q, and the correctly
+    rounded sqrt keeps dist_p > dist_q ≥ the winner's distance.
     """
     rows, cols = block.shape
     if math.isfinite(err):
@@ -238,24 +243,29 @@ def _closest_pair(X: np.ndarray, angular: bool) -> tuple[tuple[int, int], float]
     each block holding at most SCAN_BLOCK values (at least one row), and
     the best pair so far is kept. In distance mode a block holds Gram-form
     squared distances, which only shortlist the pairs that are then
-    measured exactly (_shortlist_minimum).
+    measured exactly (_shortlist_minimum). They are formed from the rows
+    less their mean, as the Gram form's error grows with the rows' norms:
+    a tight cloud far from the origin would otherwise shortlist every pair.
     """
     n = X.shape[0]
+    G = X  # the rows the blocks are formed from
     if not angular:
         if X.shape[1] == 0:  # every pair is at distance 0
             return (0, 1), 0.0
-        sq = _squared_norms(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = X - X.mean(axis=0)
+        sq = _squared_norms(G)
     best_pair, best = None, None
     i0 = 0
     while i0 < n - 1:
         cols = n - 1 - i0
         rows = min(max(1, SCAN_BLOCK // cols), cols)
-        later = X[i0 + 1:]
+        later = G[i0 + 1:]
         if angular:
-            block = X[i0:i0 + rows] @ later.T
+            block = G[i0:i0 + rows] @ later.T
             np.clip(block, -1.0, 1.0, out=block)
         else:
-            block, err = _gram_distances(X[i0:i0 + rows], sq[i0:i0 + rows], later, sq[i0 + 1:])
+            block, err = _gram_distances(G[i0:i0 + rows], sq[i0:i0 + rows], later, sq[i0 + 1:])
         # block[r, c] pairs rows i0 + r and i0 + 1 + c: c < r is a pair at
         # or below the diagonal, seen already or a row with itself
         block[:, :rows][np.tri(rows, k=-1, dtype=bool)] = -np.inf if angular else np.inf

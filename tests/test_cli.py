@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,50 @@ def test_build_flag_defaults_are_the_config_defaults():
     defaults = {f.name: f.default for f in dataclasses.fields(construct.ConstructionConfig)}
     for name in ("eps1", "eps2", "c_dist", "max_retries"):
         assert getattr(args, name) == defaults[name], name
+
+
+def test_every_tunable_config_field_is_a_build_parameter(tmp_path, small_dataset):
+    # each ConstructionConfig field but mode and seed is a build flag of its
+    # type, a manifest param of its JSON types and a report key
+    hints = typing.get_type_hints(construct.ConstructionConfig)
+    fields = [f for f in dataclasses.fields(construct.ConstructionConfig)
+              if f.name not in ("mode", "seed")]
+    assert {"eps1", "eps2", "c_dist", "max_retries"} <= {f.name for f in fields}
+    argv = ["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+            "--out", tmp_path / "net.json", "--report", tmp_path / "r.json"]
+    values = {}
+    for f in fields:
+        flag = "--" + f.name.replace("_", "-")
+        parsed = getattr(build_parser().parse_args(["build", flag, str(f.default)]), f.name)
+        assert parsed == f.default and type(parsed) is hints[f.name], f.name
+        assert BUILD_PARAMS[f.name] == ((int, float) if hints[f.name] is float
+                                        else (hints[f.name],)), f.name
+        values[f.name] = {float: f.default / 2, int: f.default + 1}[hints[f.name]]
+        argv += [flag, values[f.name]]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 0
+    report = read_json(tmp_path / "r.json")
+    params = read_json(tmp_path / "net.manifest.json")["params"]
+    for name, value in values.items():
+        assert report[name] == params[name] == value, name
+
+
+@pytest.mark.parametrize("seed_env, argv, message", [
+    ("abc", ["generate", "--n", 4, "--d", 2, "--delta", 0.1, "--out", "g.csv"],
+     "THRESHMEM_SEED must be an integer, got 'abc'"),
+    (None, ["build", "--from-manifest", "ds.manifest.json"],
+     "ds.manifest.json: manifest does not describe a build command"),
+    (None, ["build", "--out", "net.json", "--report", "r.json"],
+     "build requires --dataset, --delta, --out and --report"),
+])
+def test_cli_refusal_gives_one_error_line(tmp_path, small_dataset, monkeypatch,
+                                          seed_env, argv, message):
+    monkeypatch.chdir(tmp_path)  # beside small_dataset and its generate manifest
+    monkeypatch.delenv("THRESHMEM_SEED", raising=False)
+    if seed_env is not None:
+        monkeypatch.setenv("THRESHMEM_SEED", seed_env)
+    error = assert_one_error_line(argv)
+    assert (error["code"], error["message"]) == (2, message)
 
 
 def test_sweep_single_delta_has_null_slope(tmp_path):

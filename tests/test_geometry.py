@@ -529,7 +529,7 @@ def test_batched_sampler_memory_is_bounded():
 @st.composite
 def stressed_point_sets(draw):
     """Point sets on which the Gram form's rounding error matters: a large
-    common offset with gaps down to 1e-7, exact duplicates and grid ties,
+    common offset with gaps down to 1e-15, exact duplicates and grid ties,
     and coordinates near 1e±154, where squares underflow or overflow."""
     n = draw(st.integers(2, 32))
     d = draw(st.integers(1, 6))
@@ -544,7 +544,7 @@ def stressed_point_sets(draw):
     if draw(st.booleans()):
         offset = rng.standard_normal(d)
         offset *= draw(st.sampled_from([0.5, 0.999, 1.0, 4.0])) / np.linalg.norm(offset)
-        X = offset + draw(st.sampled_from([1e-7, 1e-6, 1e-4, 1e-2])) * X
+        X = offset + draw(st.sampled_from([1e-15, 1e-12, 1e-7, 1e-6, 1e-4, 1e-2])) * X
     else:
         X = X * 10.0 ** draw(st.sampled_from([-170, -161.5, -160.5, -159.5, -155, -154, -150,
                                               150, 153, 153.5, 154, 155, 160, 300]))
@@ -597,8 +597,7 @@ def test_gram_sampler_matches_one_candidate_loop_on_offset_lattices(
 
 @pytest.mark.parametrize("points", ["random", "duplicates", "cloud"])
 def test_distance_scan_memory_is_bounded(points):
-    # with every point the same, or all within the Gram form's rounding
-    # error of each other, every pair makes the exact shortlist
+    # with every point the same, every pair makes the exact shortlist
     duplicates = points == "duplicates"
     if points == "random":
         X = sample_sphere_uniform(8, 1.0, 8192, seed=3)
@@ -618,3 +617,18 @@ def test_distance_scan_memory_is_bounded(points):
     # one block of pair values (1 MB), its shortlist and one exact chunk;
     # the 8192 x 8192 distance matrix would take 512 MB
     assert peak < 16 * 2**20
+
+
+def test_tight_cloud_shortlists_few_pairs(monkeypatch):
+    # far from the origin, a cloud 1e-12 wide lies within the Gram form's
+    # rounding error of itself unless its rows are centred first
+    X = 0.5 + 1e-12 * np.random.default_rng(3).standard_normal((8192, 8))
+    exact, measured = geometry._exact_distances, []
+
+    def counted(A, B):
+        measured.append(len(A))
+        return exact(A, B)
+
+    monkeypatch.setattr(geometry, "_exact_distances", counted)
+    assert not check_separation(Dataset(X, np.zeros(len(X))), SeparationMode.distance(1e-3)).holds
+    assert sum(measured) < 0.01 * len(X) * (len(X) - 1) / 2

@@ -543,6 +543,22 @@ def test_canonical_reader_refuses_real_layer_larger_than_document(monkeypatch):
         deserialize(doc)
 
 
+@pytest.mark.parametrize("layers, message", [
+    # an integer row whose sum |w| + |b| passes 2^63 - 1: _make_layer refuses it
+    ([{"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 0, 2**62], [0, 1, 2**62]],
+       "bias": [-1]}], r"^\$\.layers\[0\]: integer layer row 0: .*past the int64 maximum"),
+    # two layers whose dimensions do not chain: ThresholdNetwork refuses them
+    ([{"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 0, 1]], "bias": [0]},
+      {"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 1, 1]], "bias": [0]}],
+     r"^\$\.layers: layer 1 input dim 2 != layer 0 output dim 1$"),
+])
+def test_canonical_reader_declines_what_the_layer_or_network_refuses(layers, message):
+    doc = json.dumps({"input_dim": 2, "layers": layers}, separators=(",", ":")).encode()
+    assert _read_canonical(doc) is None
+    with pytest.raises(SerializationError, match=message):
+        deserialize(doc)
+
+
 def _doc(domain, entries, bias, rows=1, cols=2):
     return json.dumps({"input_dim": cols, "layers": [
         {"domain": domain, "rows": rows, "cols": cols, "entries": entries, "bias": bias}]}).encode()
