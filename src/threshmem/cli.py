@@ -40,6 +40,7 @@ EXIT_CODES = {
     geometry.InfeasibleGenerationError: EXIT_CONTRACT,
     construct.ConstructionRetryError: EXIT_RETRY,
     construct.MemorizationCheckError: EXIT_INVARIANT,
+    MemoryError: EXIT_CONTRACT,
 }
 
 SEED_ENV_VAR = "THRESHMEM_SEED"

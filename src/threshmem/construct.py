@@ -76,7 +76,7 @@ def as_code_matrix(codes) -> np.ndarray:
         raise ValueError("codes must form a 2-D array, one code per row")
     if arr.shape[1] < 1:
         raise ValueError("codes must have positive length")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("codes may contain only bits 0 and 1")
     return arr.astype(np.uint8)
 

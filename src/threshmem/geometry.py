@@ -5,13 +5,15 @@ labels. Separation between points is measured either as the pairwise angle
 (angular mode) or as the pairwise Euclidean distance with a unit-norm cap
 (distance mode). The check is exact: it compares every pair, in O(n^2)
 time with no approximate nearest-neighbor shortcut, but it scans the pairs
-in row blocks, so its memory is bounded by one block rather than n^2. In
-distance mode a block holds Gram-form squared distances from one gemm of
-the rows less their mean; they only shortlist the pairs that could be the
-closest, with a margin sized to their rounding error, and those pairs are
-measured in exact arithmetic, the same as pdist's. Generation
-rejection-samples candidates in batches, yet accepts exactly the points
-that testing one candidate at a time would.
+in row blocks, so its memory is bounded by one block rather than n^2. A
+block holds Gram-form squared distances from one gemm of the rows less
+their mean; they only shortlist the pairs that could be the closest, with
+a margin sized to their rounding error, and those pairs are measured in
+exact arithmetic, the same as pdist's. The angular check runs the same
+scan on the rows scaled to unit norm, so its closest pair is pdist's pair
+of the unit rows, and takes that pair's angle from Kahan's formula.
+Generation rejection-samples candidates in batches, yet accepts exactly
+the points that testing one candidate at a time would.
 """
 
 from __future__ import annotations
@@ -141,36 +143,37 @@ class SeparationVerdict:
     max_norm: Optional[float] = None
 
 
-def _squared_norms(X: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", X, X)
+def _lift(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of G lifted for _gram_distances: L = [-2G | sq | 1] and
+    R = [G | 1 | sq], with sq the rows' squared norms."""
+    sq = np.einsum("ij,ij->i", G, G)
+    ones = np.ones(len(G))
+    return np.column_stack([-2.0 * G, sq, ones]), np.column_stack([G, ones, sq])
 
 
-def _gram_distances(A: np.ndarray, sqa: np.ndarray, B: np.ndarray,
-                    sqb: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared distances of the rows of A and B in Gram form, and a bound on
-    their error.
+def _gram_distances(L: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared distances of rows a of L and b of R, lifted by _lift, in Gram
+    form, and a bound on their error.
 
-    sqa and sqb hold the rows' squared norms. Entry [r, c] is
-    (sqa[r] - 2 A[r]·B[c]) + sqb[c], from one gemm. With u = eps/2,
-    N = max sqa + max sqb and τ the smallest normal float: each squared
-    norm is within γ_d·‖a‖² of the true one and each product a·b within
-    γ_d·‖a‖‖b‖ ≤ γ_d·N/2, in any summation order, with FMA or without;
-    doubling is exact, and the two additions round by at most 2uN and
-    3uN. A product that underflows (|x| ≲ 1e-154) errs by less than τ
-    instead, 4d·τ in all. So an entry is within (2d + 5)·u·N + 4d·τ,
-    to first order in u, of the true squared distance. The returned bound
-    4(d + 2)(eps·N + 4τ) is more than three times that.
+    Entry [r, c] is (‖a‖² - 2a·b) + ‖b‖² with computed squared norms, from
+    one gemm L @ R.T. With u = eps/2, N = max ‖a‖² + max ‖b‖² and τ the
+    smallest normal float: the entry is one dot product of d + 2 terms,
+    whose doubling and products with 1 are exact, so in any summation
+    order, with FMA or without, it errs by at most γ_{d+2} times the
+    terms' total magnitude 2|a·b| + ‖a‖² + ‖b‖² ≤ 2N. Each squared norm is
+    within γ_d·‖a‖² of the true one, d·u·N for the two. A product that
+    underflows (|x| ≲ 1e-154) errs by less than τ instead, under 4d·τ in
+    all. So an entry is within (3d + 4)·u·N + 4d·τ, to first order in u,
+    of the true squared distance. The returned bound 4(d + 2)(eps·N + 4τ)
+    is more than 2.6 times that.
 
     Past N = 2^1000 (|x| ≳ 1e150) a square or an entry may overflow, and
     the bound is inf: no entry can be trusted.
     """
-    d = A.shape[1]
-    scale = float(sqa.max() + sqb.max())  # N
+    d = L.shape[1] - 2
+    scale = float(L[:, d].max() + R[:, d + 1].max())  # N
     with np.errstate(over="ignore", invalid="ignore"):
-        block = A @ B.T
-        block *= -2.0
-        block += sqa[:, None]
-        block += sqb
+        block = L @ R.T
     if not scale <= _GRAM_SCALE:
         return block, math.inf
     return block, 4 * (d + 2) * (_EPS * scale + 4 * _TINY)
@@ -207,10 +210,10 @@ def _shortlist_minimum(X: np.ndarray, i0: int, block: np.ndarray,
     g_p > g_q + 2·err. Let s be a pair's exact sum of squares before the
     sqrt; it is within F = 2(d + 2)·u·N + d·τ of D² ≤ 2N (each difference
     and square rounds by u, the sum by γ_{d-1}, an underflowing square by
-    less than τ). With E = (2d + 9)·u·N + 4d·τ, err's true part and the
+    less than τ). With E = (3d + 8)·u·N + 4d·τ, err's true part and the
     translation's 4u·N:
       s_p ≥ g_p - E - F > g_q + 2·err - E - F ≥ s_q + 2·err - 2E - 2F,
-    and 2·err - 2E - 2F ≥ (8d + 6)·u·N + (22d + 64)·τ > 5u·s_q, since
+    and 2·err - 2E - 2F ≥ (6d + 8)·u·N + (22d + 64)·τ > 5u·s_q, since
     s_q ≤ 2N + F and d ≥ 1. So s_p > (1 + 5u)·s_q, and the correctly
     rounded sqrt keeps dist_p > dist_q ≥ the winner's distance.
     """
@@ -233,52 +236,37 @@ def _shortlist_minimum(X: np.ndarray, i0: int, block: np.ndarray,
     return best_k, best
 
 
-def _closest_pair(X: np.ndarray, angular: bool) -> tuple[tuple[int, int], float]:
-    """The closest pair i < j of the rows of X (at least two) and its value.
+def _closest_pair(X: np.ndarray) -> tuple[tuple[int, int], float]:
+    """The closest pair i < j of the rows of X (at least two) and their
+    Euclidean distance, equal to pdist's bit for bit.
 
-    Angular: the largest dot product, clipped to [-1, 1], of rows that the
-    caller has scaled to unit norm. Otherwise: the smallest Euclidean
-    distance, equal to pdist's bit for bit. Ties go to the first pair in
-    row-major order. Rows are scanned in blocks against all later rows,
-    each block holding at most SCAN_BLOCK values (at least one row), and
-    the best pair so far is kept. In distance mode a block holds Gram-form
-    squared distances, which only shortlist the pairs that are then
-    measured exactly (_shortlist_minimum). They are formed from the rows
-    less their mean, as the Gram form's error grows with the rows' norms:
-    a tight cloud far from the origin would otherwise shortlist every pair.
+    Ties go to the first pair in row-major order. Rows are scanned in
+    blocks against all later rows, each block holding at most SCAN_BLOCK
+    values (at least one row), and the best pair so far is kept. A block
+    holds Gram-form squared distances from one gemm of rows lifted once per
+    scan (_lift), which only shortlist the pairs that are then measured
+    exactly (_shortlist_minimum). The rows are lifted less their mean, as
+    the Gram form's error grows with the rows' norms: a tight cloud far
+    from the origin would otherwise shortlist every pair.
     """
-    n = X.shape[0]
-    G = X  # the rows the blocks are formed from
-    if not angular:
-        if X.shape[1] == 0:  # every pair is at distance 0
-            return (0, 1), 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = X - X.mean(axis=0)
-        sq = _squared_norms(G)
-    best_pair, best = None, None
+    n, d = X.shape
+    if d == 0:  # every pair is at distance 0
+        return (0, 1), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        L, R = _lift(X - X.mean(axis=0))
+    best_pair, best = None, math.inf
     i0 = 0
-    while i0 < n - 1:
+    while i0 < n - 1 and best > 0.0:  # no pair is closer than 0
         cols = n - 1 - i0
         rows = min(max(1, SCAN_BLOCK // cols), cols)
-        later = G[i0 + 1:]
-        if angular:
-            block = G[i0:i0 + rows] @ later.T
-            np.clip(block, -1.0, 1.0, out=block)
-        else:
-            block, err = _gram_distances(G[i0:i0 + rows], sq[i0:i0 + rows], later, sq[i0 + 1:])
+        block, err = _gram_distances(L[i0:i0 + rows], R[i0 + 1:])
         # block[r, c] pairs rows i0 + r and i0 + 1 + c: c < r is a pair at
         # or below the diagonal, seen already or a row with itself
-        block[:, :rows][np.tri(rows, k=-1, dtype=bool)] = -np.inf if angular else np.inf
-        if angular:
-            k = int(np.argmax(block))
-            value = float(block.flat[k])
-        else:
-            k, value = _shortlist_minimum(X, i0, block, err)
-        if best is None or (value > best if angular else value < best):
+        block[:, :rows][np.tri(rows, k=-1, dtype=bool)] = np.inf
+        k, value = _shortlist_minimum(X, i0, block, err)
+        if best_pair is None or value < best:
             r, c = divmod(k, cols)
             best_pair, best = (i0 + r, i0 + 1 + c), value
-        if best == 0.0 and not angular:  # no later pair can be closer
-            break
         i0 += rows
     return best_pair, best
 
@@ -292,9 +280,12 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 def check_separation(ds: Dataset, mode: SeparationMode, tol: float = DEFAULT_TOL) -> SeparationVerdict:
     """Exact pairwise separation check under the given mode.
 
-    Angular mode rejects zero-norm vectors (the angle is undefined).
-    Distance mode additionally requires every norm <= 1 + tol. Memory is
-    bounded by one SCAN_BLOCK of pair values, whatever n.
+    Angular mode rejects zero-norm vectors (the angle is undefined). Its
+    closest pair is the closest pair of the rows scaled to unit norm, as a
+    chord 2 sin(θ/2) grows with the angle θ, and its angle comes from
+    Kahan's formula. Distance mode additionally requires every norm
+    <= 1 + tol. Memory is bounded by one SCAN_BLOCK of pair values,
+    whatever n.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -310,18 +301,16 @@ def check_separation(ds: Dataset, mode: SeparationMode, tol: float = DEFAULT_TOL
             raise ZeroNormError("angular separation undefined for zero-norm vectors")
         if n == 1:
             return SeparationVerdict(True, None, math.inf)
-        U = X / norms[:, None]
-        pair, cosine = _closest_pair(U, angular=True)
-        # arccos reads every cosine that rounds to 1 as angle 0
-        worst = float(np.arccos(cosine)) if cosine < 1.0 else _angle(U[pair[0]], U[pair[1]])
-        return SeparationVerdict(worst >= mode.delta - tol, pair, worst)
+        (i, j), _ = _closest_pair(X / norms[:, None])
+        worst = _angle(X[i], X[j])
+        return SeparationVerdict(worst >= mode.delta - tol, (i, j), worst)
 
     norms = np.linalg.norm(X, axis=1)
     max_norm = float(norms.max())
     norm_ok = max_norm <= 1.0 + tol
     if n == 1:
         return SeparationVerdict(norm_ok, None, math.inf, max_norm)
-    pair, worst = _closest_pair(X, angular=False)
+    pair, worst = _closest_pair(X)
     holds = norm_ok and worst >= mode.delta - tol
     return SeparationVerdict(holds, pair, worst, max_norm)
 
@@ -383,7 +372,7 @@ def _pair_verdicts(cands: np.ndarray, rows: np.ndarray, min_sep: float,
     # a Gram value past the margin by more than err is a squared distance
     # past it: err bounds the Gram form's error and, with room to spare, the
     # one-candidate arithmetic's underflow; the margin covers its rounding
-    sq, err = _gram_distances(cands, _squared_norms(cands), rows, _squared_norms(rows))
+    sq, err = _gram_distances(_lift(cands)[0], _lift(rows)[1])
     return ((sq > (min_sep * (1 + SAMPLE_MARGIN)) ** 2 + err).view(np.int8)
             - (sq < (min_sep * (1 - SAMPLE_MARGIN)) ** 2 - err))
 

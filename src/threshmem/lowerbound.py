@@ -86,10 +86,6 @@ class ClusteredDataset:
     delta: float
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.points.shape[1]
 
@@ -172,7 +168,7 @@ def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDatase
             block = slice(ci * r, (ci + 1) * r)
             points[block] = centers[ci] + sqrt_delta * (template @ basis.T)
             cluster_ids[block] = ci
-        if _closest_pair(points, angular=False)[1] >= delta:
+        if _closest_pair(points)[1] >= delta:
             break
     else:
         raise InfeasibleGenerationError(

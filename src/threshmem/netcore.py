@@ -28,8 +28,8 @@ INTEGER = "integer"
 #: fragile tie and triggers ThresholdTieWarning during evaluation.
 TIE_TOLERANCE = 1e-12
 
-#: Real layers evaluate inputs in column blocks of this size; the block
-#: size is fixed so that results never depend on caller batching.
+#: Real layers evaluate inputs in column blocks of this size, a shorter
+#: block padded to it, so that results never depend on caller batching.
 EVAL_CHUNK = 256
 
 #: Integer layers evaluate this many samples at a time, packed 64 to a
@@ -335,13 +335,19 @@ def _unpack(P: np.ndarray, B: int) -> np.ndarray:
 
 
 def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
-    """One layer on an (in_dim, B) block of unpacked values; (out_dim, B) bool.
+    """One layer on an (in_dim, B) block of unpacked values, B at most
+    EVAL_CHUNK; (out_dim, B) bool.
 
     Real layers run here, and an integer layer whose input is not all bits.
     Both compute in float64, which is exact for an integer layer while every
-    term stays below 2^53.
+    term stays below 2^53. The block is padded with zero columns to
+    EVAL_CHUNK, so every product has one shape: BLAS may round a column of
+    a narrow product differently from the same column of a wide one.
     """
-    P = layer.weights @ Z.astype(np.float64, copy=False)
+    B = Z.shape[1]
+    padded = np.zeros((Z.shape[0], EVAL_CHUNK))
+    padded[:, :B] = Z
+    P = (layer.weights @ padded)[:, :B]
     P += layer.biases[:, None]
     if layer.domain == REAL and np.any(np.abs(P) <= TIE_TOLERANCE):
         warnings.warn(
@@ -357,8 +363,7 @@ def _apply_chunked(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
     """_apply_layer on each EVAL_CHUNK columns of Z in turn."""
     out = np.empty((layer.out_dim, Z.shape[1]), dtype=bool)
     for c in range(0, Z.shape[1], EVAL_CHUNK):
-        out[:, c : c + EVAL_CHUNK] = _apply_layer(
-            layer, np.ascontiguousarray(Z[:, c : c + EVAL_CHUNK]))
+        out[:, c : c + EVAL_CHUNK] = _apply_layer(layer, Z[:, c : c + EVAL_CHUNK])
     return out
 
 
@@ -569,18 +574,16 @@ _INT_TYPES = {int, bool}
 _NUMBER_TYPES = {int, float, bool}
 
 
-def _int64_array(values) -> Optional[np.ndarray]:
-    """Python ints as an int64 vector; None if any value is not an int in range.
+def _int64_array(values: list) -> Optional[np.ndarray]:
+    """A flat list of Python ints as an int64 vector; None if any value is
+    not an int in range.
 
     numpy infers int64 (or bool) exactly when every value is an int that
-    fits; an int past int64, a float, a string or a nested list gives
-    another dtype or shape. An empty list gives an empty vector.
+    fits; an int past int64, a float or a string gives another dtype. An
+    empty list gives an empty vector.
     """
-    try:
-        a = np.array(values)
-    except ValueError:  # nested lists of unequal length
-        return None
-    if a.ndim != 1 or (a.size and a.dtype.kind not in "bi"):
+    a = np.array(values)
+    if a.size and a.dtype.kind not in "bi":
         return None
     return a.astype(np.int64)
 

@@ -495,6 +495,34 @@ def test_sweep_records_a_cells_contract_violation(tmp_path):
         "", "distance delta cannot exceed the unit-ball diameter 2"]
 
 
+#: requests of PiB, past a 48-bit address space, that numpy refuses at once
+#: under any overcommit policy: the proof's first-layer width at delta 1e-12
+#: (about 8.4e13 rows of 8 floats for 64 points) and a dataset of 1e14 points
+TOO_LARGE = [
+    ["build", "--dataset", "s.csv", "--delta", 1e-12, "--out", "n.json", "--report", "r.json"],
+    ["generate", "--n", 10**14, "--d", 8, "--delta", 0.1, "--out", "big.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=["build", "generate"])
+def test_request_too_large_for_memory_is_contract_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "--n", 64, "--d", 8, "--delta", 0.3, "--seed", 1,
+                "--out", "s.csv"]) == 0
+    error = assert_one_error_line(argv)
+    assert (error["code"], error["type"]) == (2, "MemoryError")
+
+
+def test_sweep_records_a_cell_too_large_for_memory(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--n", 64, "--d", 8, "--deltas", "0.3,1e-12", "--seeds", 1,
+                "--out", out, "--summary", tmp_path / "s.json"]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["error"] == "" and rows[0]["first_layer_neurons"]
+    assert rows[1]["error"].startswith("Unable to allocate")
+
+
 def test_build_flag_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["build"])
     defaults = {f.name: f.default for f in dataclasses.fields(construct.ConstructionConfig)}

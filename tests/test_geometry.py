@@ -386,6 +386,9 @@ def test_blocked_scan_matches_whole_matrix_check(X, delta, block):
     gram = np.clip(U @ U.T, -1.0, 1.0)
     best = gram[ref.worst_pair]
     i, j = ang.worst_pair
+    # exactly: the closest pair of the unit rows, and Kahan's angle of its scaled rows
+    assert ang.worst_pair == _condensed_to_pair(int(np.argmin(pdist(U))), len(X))
+    assert ang.worst_value == geometry._angle(S[i], S[j])
     assert i < j and gram[i, j] >= best - COSINE_TOL
     lo, hi = np.arccos(np.clip([best + COSINE_TOL, best - COSINE_TOL], -1.0, 1.0))
     assert lo <= ang.worst_value <= hi

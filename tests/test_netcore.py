@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,22 @@ def test_batch_partition_independence():
     assert np.array_equal(full, split)
     one_by_one = np.array([forward(net, x) for x in xs])
     assert np.array_equal(full, one_by_one)
+
+
+def test_real_layer_bits_do_not_depend_on_the_split():
+    # pre-activation j of sample j is zero in the whole batch's product; a
+    # product that rounds it another way, as BLAS may when it is only a few
+    # columns wide, flips that bit
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((64, 64))
+    X = rng.standard_normal((256, 64))
+    layers = [ThresholdLayer.real(W, -np.diag((W @ X.T)[:, :64]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ThresholdTieWarning)
+        whole = evaluate_layers(layers, X)
+        for k in (1, 3, 100):
+            parts = [evaluate_layers(layers, X[s:s + k]) for s in range(0, len(X), k)]
+            assert np.array_equal(np.concatenate(parts), whole), k
 
 
 def test_dimension_mismatch_raises():
@@ -551,6 +568,9 @@ def test_canonical_reader_refuses_real_layer_larger_than_document(monkeypatch):
     ([{"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 0, 1]], "bias": [0]},
       {"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 1, 1]], "bias": [0]}],
      r"^\$\.layers: layer 1 input dim 2 != layer 0 output dim 1$"),
+    # a real entry that is not a number: the general reader names it
+    ([{"domain": "real", "rows": 1, "cols": 2, "entries": [[0, 0, None]], "bias": [0.0]}],
+     r"^\$\.layers\[0\]\.entries\[0\]: value must be a number, got None$"),
 ])
 def test_canonical_reader_declines_what_the_layer_or_network_refuses(layers, message):
     doc = json.dumps({"input_dim": 2, "layers": layers}, separators=(",", ":")).encode()
