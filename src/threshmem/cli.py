@@ -218,7 +218,8 @@ def cmd_lowerbound(args) -> None:
 def _plane(entry, where: str, dim: int) -> lowerbound.Hyperplane:
     normal = entry.get("normal") if isinstance(entry, dict) else None
     offset = entry.get("offset") if isinstance(entry, dict) else None
-    if not (isinstance(normal, list) and all(isinstance(v, (int, float)) for v in [*normal, offset])):
+    # type(), not isinstance(): a JSON true or false is a bool, and a bool is an int
+    if not (isinstance(normal, list) and all(type(v) in (int, float) for v in [*normal, offset])):
         raise ValueError(f'{where}: expected {{"normal": [numbers], "offset": number}}')
     if len(normal) != dim:
         raise ValueError(f"{where}: normal has {len(normal)} entries, the points have {dim}")

@@ -331,9 +331,8 @@ def build_xor_subnetwork(plan: CompressionPlan, d1: int) -> XorSubnetwork:
     levels = max(int(live.max()) - 1, 0).bit_length()
 
     if levels == 0:
-        # every mask has at most one live bit: a single copy/constant layer
-        layers = [ThresholdLayer.integer_from_entries(
-            m, d1, tree, signal, np.full(tree.size, 2), np.full(m, -1))]
+        # every mask has at most one live bit: the half layer copies it alone
+        layers = [_xor_level(tree, signal, m, d1)[0]]
     else:
         layers = []
         in_dim = d1

@@ -21,6 +21,7 @@ import numpy as np
 from .construct import ConstructionConfig, build_first_layer
 from .geometry import (
     Dataset,
+    SCAN_BLOCK,
     InfeasibleGenerationError,
     SeparationMode,
     _as_rng,
@@ -162,12 +163,9 @@ def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDatase
             angular=False, what="template cluster",
         )
         points = np.empty((n, d))
-        cluster_ids = np.empty(n, dtype=np.int64)
         for ci in range(r):
             basis = _tangent_basis(centers[ci])
-            block = slice(ci * r, (ci + 1) * r)
-            points[block] = centers[ci] + sqrt_delta * (template @ basis.T)
-            cluster_ids[block] = ci
+            points[ci * r : (ci + 1) * r] = centers[ci] + sqrt_delta * (template @ basis.T)
         if _closest_pair(points)[1] >= delta:
             break
     else:
@@ -176,9 +174,8 @@ def build_cluster_dataset(n: int, d: int, delta: float, seed) -> ClusteredDatase
             f"(n={n}, d={d}, delta={delta})"
         )
 
-    labels = np.empty(n, dtype=np.int8)
-    for ci in range(r):
-        labels[ci * r : (ci + 1) * r] = np.arange(r) % 2
+    cluster_ids = np.repeat(np.arange(r, dtype=np.int64), r)
+    labels = np.tile(np.arange(r, dtype=np.int8) % 2, r)
     return ClusteredDataset(centers, points, labels, cluster_ids, delta)
 
 
@@ -200,8 +197,39 @@ class SeparationCount:
     on_plane_incidents: int
 
 
+def _demanded(labels: np.ndarray, mode: str):
+    """The pairs i < j that `mode` demands be split, all or those of opposite
+    labels, as a map of rows i0:i1 to their mask over columns i0:."""
+    if mode not in (ALL_PAIRS, OPPOSITE_LABEL_PAIRS):
+        raise ValueError(f"mode must be '{ALL_PAIRS}' or '{OPPOSITE_LABEL_PAIRS}'")
+    index = np.arange(len(labels))
+    key = index if mode == ALL_PAIRS else labels  # a pair is demanded iff its keys differ
+    return lambda i0, i1: (key[i0:i1, None] != key[i0:]) & (index[i0:i1, None] < index[i0:])
+
+
+def _sides(points: np.ndarray, planes: Sequence[Hyperplane]) -> tuple[np.ndarray, int]:
+    """sides[0, p, i] (sides[1, p, i]) holds if point i lies strictly on plane
+    p's positive (negative) side, and the count of (plane, point) incidences
+    on neither side, that is on the plane."""
+    dist = np.array([p.signed_distances(points) for p in planes]).reshape(len(planes), len(points))
+    return np.stack([dist > 0, dist < 0]), int(np.count_nonzero(dist == 0))
+
+
+def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a plane puts a point of a and one of b on opposite sides; a and
+    b hold (positive, negative) sides from _sides, as bools or packed bits,
+    on axis 0. For finite values this is exactly sign_a * sign_b < 0."""
+    return (a[0] & b[1]) | (a[1] & b[0])
+
+
 def count_separated_pairs(points, labels, planes: Sequence[Hyperplane], mode: str) -> SeparationCount:
-    """Pairs with some plane strictly between them, out of the demanded pairs."""
+    """Pairs with some plane strictly between them, out of the demanded pairs.
+
+    The side bits are packed eight planes to a byte, and each block of rows
+    is scanned against itself and all later rows, a block holding at most
+    SCAN_BLOCK bytes (at least one row): memory is O(n * planes / 8) plus
+    one block.
+    """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     n = points.shape[0]
@@ -209,23 +237,18 @@ def count_separated_pairs(points, labels, planes: Sequence[Hyperplane], mode: st
         raise ValueError("points must be a nonempty (n, d) array")
     if labels.shape != (n,):
         raise ValueError("labels must align with points")
-    if mode not in (ALL_PAIRS, OPPOSITE_LABEL_PAIRS):
-        raise ValueError(f"mode must be '{ALL_PAIRS}' or '{OPPOSITE_LABEL_PAIRS}'")
-
-    if mode == ALL_PAIRS:
-        required = np.ones((n, n), dtype=bool)
-    else:
-        required = labels[:, None] != labels[None, :]
-    required = np.triu(required, k=1)
-
-    separated = np.zeros((n, n), dtype=bool)
-    on_plane = 0
-    for plane in planes:
-        signs = np.sign(plane.signed_distances(points))
-        on_plane += int(np.count_nonzero(signs == 0))
-        separated |= signs[:, None] * signs[None, :] < 0
-    count = int(np.count_nonzero(separated & required))
-    return SeparationCount(count, int(np.count_nonzero(required)), on_plane)
+    demanded = _demanded(labels, mode)
+    sides, on_plane = _sides(points, planes)
+    packed = np.packbits(sides, axis=1)  # (2, bytes, n)
+    separated = total = i0 = 0
+    while i0 < n:
+        rows = min(max(1, SCAN_BLOCK // ((n - i0) * max(packed.shape[1], 1))), n - i0)
+        want = demanded(i0, i0 + rows)
+        split = _split(packed[:, :, i0:i0 + rows, None], packed[:, :, None, i0:]).any(axis=0)
+        separated += int(np.count_nonzero(split & want))
+        total += int(np.count_nonzero(want))
+        i0 += rows
+    return SeparationCount(separated, total, on_plane)
 
 
 # ---------------------------------------------------------------------------
@@ -266,39 +289,24 @@ def min_hyperplanes_bruteforce(points, labels, mode: str) -> int:
             f"brute force capped at n <= {MAX_BRUTE_POINTS}, d = 2; "
             f"got n={n}, d={points.shape[1]}"
         )
-    if mode == ALL_PAIRS:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif mode == OPPOSITE_LABEL_PAIRS:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if labels[i] != labels[j]]
-    else:
-        raise ValueError(f"mode must be '{ALL_PAIRS}' or '{OPPOSITE_LABEL_PAIRS}'")
-    if not pairs:
+    i, j = np.nonzero(_demanded(labels, mode)(0, n))
+    if i.size == 0:
         return 0
 
-    full = (1 << len(pairs)) - 1
+    full = (1 << i.size) - 1
+    sides, _ = _sides(points, _candidate_bisectors(points))
+    split = _split(sides[:, :, i], sides[:, :, j])  # (planes, pairs)
+    # plane p's mask holds pair b at bit b, from row p's little-endian bytes
+    packed = np.packbits(split, axis=1, bitorder="little")
+    found = {int.from_bytes(row.tobytes(), "little") for row in packed} - {0}
     masks = []
-    for plane in _candidate_bisectors(points):
-        signs = np.sign(plane.signed_distances(points))
-        mask = 0
-        for b, (i, j) in enumerate(pairs):
-            if signs[i] * signs[j] < 0:
-                mask |= 1 << b
-        if mask:
-            masks.append(mask)
-    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
-    # a mask contained in an earlier (bigger) one can always be swapped out
-    kept = []
-    for m in masks:
-        if not any(m | other == other for other in kept):
-            kept.append(m)
-    masks = kept
+    for m in sorted(found, key=lambda m: -bin(m).count("1")):
+        # a mask contained in an earlier (bigger) one can always be swapped out
+        if not any(m | other == other for other in masks):
+            masks.append(m)
     if not masks:
         raise ValueError("no candidate plane separates any required pair")
-
-    cover = 0
-    for m in masks:
-        cover |= m
-    if cover != full:
+    if not split.any(axis=0).all():
         raise ValueError("candidate bisectors cannot separate every required pair")
 
     # depth-first set cover branching on the lowest uncovered pair
@@ -367,12 +375,9 @@ def first_layer_pressure_experiment(
     ds = cds.to_dataset()
     mode = SeparationMode.distance(cds.delta)
 
-    m_used = []
-    retries = []
-    for trial in range(trials):
-        cfg = ConstructionConfig(
-            mode=mode, seed=int(rng.integers(0, 2**63 - 1))
-        )
+    m_used, retries = [], []
+    for _ in range(trials):
+        cfg = ConstructionConfig(mode=mode, seed=int(rng.integers(0, 2**63 - 1)))
         result = build_first_layer(ds, cfg)
         m_used.append(result.m_used)
         retries.append(result.retries)
@@ -387,16 +392,9 @@ def first_layer_pressure_experiment(
     dist = np.abs(cds.centers @ W.T + b[None, :]) / norms[None, :]
     near_fraction = float((dist <= radius).mean())
     near_fraction_base = float((dist <= radius_base).mean())
-    return PressureReport(
-        m_used=m_used,
-        retries=retries,
-        near_fraction=near_fraction,
-        near_fraction_base=near_fraction_base,
-        band_radius=radius,
-        band_radius_base=radius_base,
-        t=t,
-        num_planes=num_planes,
-    )
+    return PressureReport(m_used=m_used, retries=retries, near_fraction=near_fraction,
+                          near_fraction_base=near_fraction_base, band_radius=radius,
+                          band_radius_base=radius_base, t=t, num_planes=num_planes)
 
 
 # ---------------------------------------------------------------------------

@@ -374,15 +374,17 @@ def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
     entries in {0, 1}. Real layers see fixed EVAL_CHUNK-column blocks, so
     the output is identical however the caller splits the batch. Integer
     layers on {0,1} inputs run on bits packed 64 samples to a word,
-    PACK_BLOCK samples at a time. Raises ValueError on NaN or infinite
-    inputs, which no threshold compares meaningfully.
+    PACK_BLOCK samples at a time. Raises ValueError unless every input is a
+    finite bool, integer or float: no threshold compares others meaningfully.
     """
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != layers[0].in_dim:
         raise ValueError(
             f"batch shape {X.shape} incompatible with layer input dim {layers[0].in_dim}"
         )
-    if X.dtype.kind in "fc" and not np.isfinite(X).all():
+    if X.dtype.kind not in "biuf":
+        raise ValueError(f"batch dtype {X.dtype} is not bool, integer or float")
+    if X.dtype.kind == "f" and not np.isfinite(X).all():
         raise ValueError("batch contains NaN or infinite inputs")
     input_bits = layers[0].is_integer and bool(((X == 0) | (X == 1)).all())
     out = np.empty((X.shape[0], layers[-1].out_dim), dtype=np.int8)
@@ -407,7 +409,7 @@ def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
 
 def forward(net: ThresholdNetwork, x) -> int:
     """Single-input evaluation; returns the output bit."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape != (net.input_dim,):
         raise ValueError(f"input shape {x.shape} != ({net.input_dim},)")
     return int(evaluate_layers(net.layers, x[None, :])[0, 0])
@@ -415,7 +417,7 @@ def forward(net: ThresholdNetwork, x) -> int:
 
 def forward_batch(net: ThresholdNetwork, xs) -> np.ndarray:
     """Elementwise forward over a batch; order-preserving."""
-    return evaluate_layers(net.layers, np.asarray(xs, dtype=np.float64))[:, 0]
+    return evaluate_layers(net.layers, xs)[:, 0]
 
 
 # ---------------------------------------------------------------------------

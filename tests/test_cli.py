@@ -238,6 +238,26 @@ def test_lowerbound_output_is_pinned(tmp_path, n, d, delta, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, digest", [
+    ("all", "793e71bad36920f204121fbe76848c08f497cfe409a5b9d1e70258605e06b6dc"),
+    ("opposite", "f8740644b2f23991ddf8b6326d296b6513af2a40affef63233f25147403ade7d"),
+])
+def test_separate_output_is_pinned(tmp_path, mode, digest):
+    # pinned from the n x n mask count, before the packed side-bit scan
+    cds, planes, out = (tmp_path / name for name in ("cds.csv", "planes.json", "sep.json"))
+    assert run(["lowerbound", "--n", 64, "--d", 8, "--delta", 0.05, "--seed", 1,
+                "--out", cds]) == 0
+    planes.write_text(json.dumps({"planes": [
+        {"normal": [1, 0, 0, 0, 0, 0, 0, 0], "offset": 0.0},
+        {"normal": [0, 1, 0, 0, 0, 0, 0, 0], "offset": 0.1},
+        {"normal": [1, 1, 1, 1, 0, 0, 0, 0], "offset": -0.2},
+        {"normal": [0, 0, 0, 0, 1, -1, 1, -1], "offset": 0.05},
+    ]}))
+    assert run(["separate", "--points", cds, "--planes", planes, "--mode", mode,
+                "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("mode, d, delta, digest", [
     ("distance", 4, 0.2, "ad1bd165c5ca85efb4c75f5024f39843199e8d11068b920f7a784ad12731a558"),
     ("angular", 3, 0.07, "d7c468a416c2ed1b12646ee20ae833f119c511aeea89a08091ecdd28a1500ab0"),
@@ -743,6 +763,9 @@ def test_build_from_manifest_refuses_infinite_c_dist(tmp_path, small_dataset, ca
     ({"normal": [1.0, 0.0, 0.0, 0.0, 0.0], "offset": math.nan}, "must be finite"),
     ({"normal": [1.0, 0.0, 0.0, 0.0, 0.0], "offset": -math.inf}, "must be finite"),
     ({"normal": [1.0, 0.0, 0.0, 0.0], "offset": 0.0}, "normal has 4 entries, the points have 5"),
+    # JSON booleans are not numbers, though Python reads true as 1
+    ({"normal": [True, False, False, False, False], "offset": 0.0}, "expected {\"normal\": [numbers]"),
+    ({"normal": [1.0, 0.0, 0.0, 0.0, 0.0], "offset": False}, "expected {\"normal\": [numbers]"),
 ])
 def test_separate_refuses_non_finite_or_misshapen_plane(tmp_path, capsys, plane, message):
     cds_path = tmp_path / "cds.csv"

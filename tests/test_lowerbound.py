@@ -1,10 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
+from threshmem import lowerbound
 from threshmem.geometry import SeparationMode, check_separation, load_clustered_csv
 from threshmem.lowerbound import (
     ALL_PAIRS,
@@ -134,6 +138,70 @@ def test_count_matches_bruteforce_oracle():
             assert (got.separated, got.total) == want
 
 
+def reference_count_separated_pairs(points, labels, planes, mode):
+    """The n x n mask count that the packed scan replaced."""
+    n = len(points)
+    if mode == ALL_PAIRS:
+        required = np.ones((n, n), dtype=bool)
+    else:
+        required = labels[:, None] != labels[None, :]
+    required = np.triu(required, k=1)
+    separated = np.zeros((n, n), dtype=bool)
+    on_plane = 0
+    for plane in planes:
+        signs = np.sign(plane.signed_distances(points))
+        on_plane += int(np.count_nonzero(signs == 0))
+        separated |= signs[:, None] * signs[None, :] < 0
+    return int(np.count_nonzero(separated & required)), int(np.count_nonzero(required)), on_plane
+
+
+@st.composite
+def grid_instances(draw):
+    """Integer grid points with planes through some of them: axis planes at
+    integer offsets (exact zeros) and small integer normals."""
+    n, d = draw(st.integers(1, 24)), draw(st.integers(1, 3))
+    points = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=float)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    planes = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 7, 8, 9, 16, 17]))):
+        normal = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        if draw(st.booleans()) or not any(normal):
+            k = draw(st.integers(0, d - 1))
+            normal = [float(j == k) for j in range(d)]
+        planes.append(Hyperplane.from_general(normal, draw(st.integers(-2, 2))))
+    return points, labels, planes
+
+
+@given(grid_instances(), st.sampled_from([ALL_PAIRS, OPPOSITE_LABEL_PAIRS]), st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_packed_scan_matches_square_masks(instance, mode, block):
+    points, labels, planes = instance
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks put pairs across block boundaries
+        mp.setattr(lowerbound, "SCAN_BLOCK", block)
+        got = count_separated_pairs(points, labels, planes, mode)
+    want = reference_count_separated_pairs(points, labels, planes, mode)
+    assert (got.separated, got.total, got.on_plane_incidents) == want
+
+
+def test_count_memory_is_bounded():
+    # the n x n masks and per-plane float product took 176 MiB at n = 4096
+    rng = np.random.default_rng(3)
+    points = rng.standard_normal((8192, 16))
+    labels = rng.integers(0, 2, 8192)
+    planes = [Hyperplane.from_general(rng.standard_normal(16), rng.standard_normal())
+              for _ in range(32)]
+    tracemalloc.start()
+    try:
+        result = count_separated_pairs(points, labels, planes, OPPOSITE_LABEL_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < result.separated <= result.total
+    assert peak < 16 * 2**20
+
+
 def test_count_monotone_in_planes():
     rng = np.random.default_rng(15)
     points = rng.standard_normal((8, 3))
@@ -224,6 +292,74 @@ def test_min_hyperplanes_matches_exhaustive_optimum():
             got = min_hyperplanes_bruteforce(points, labels, mode)
             want = exhaustive_min_cover(points, labels, mode)
             assert got == want
+
+
+def per_pair_min_hyperplanes(points, labels, mode):
+    """The brute force as it was, with a Python loop over pairs per plane."""
+    from threshmem.lowerbound import _candidate_bisectors
+
+    n = len(points)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if mode == ALL_PAIRS or labels[i] != labels[j]]
+    if not pairs:
+        return 0
+    full = (1 << len(pairs)) - 1
+    masks = []
+    for plane in _candidate_bisectors(points):
+        signs = np.sign(plane.signed_distances(points))
+        mask = 0
+        for b, (i, j) in enumerate(pairs):
+            if signs[i] * signs[j] < 0:
+                mask |= 1 << b
+        if mask:
+            masks.append(mask)
+    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
+    kept = []
+    for m in masks:
+        if not any(m | other == other for other in kept):
+            kept.append(m)
+    masks = kept
+    if not masks:
+        raise ValueError("no candidate plane separates any required pair")
+    cover = 0
+    for m in masks:
+        cover |= m
+    if cover != full:
+        raise ValueError("candidate bisectors cannot separate every required pair")
+    best = len(masks)
+
+    def search(covered, used):
+        nonlocal best
+        if covered == full:
+            best = min(best, used)
+            return
+        if used + 1 >= best:
+            return
+        lowest = (~covered & full) & -(~covered & full)
+        for m in masks:
+            if m & lowest:
+                search(covered | m, used + 1)
+
+    search(0, 0)
+    return best
+
+
+@given(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1)),
+                max_size=8),
+       st.sampled_from([ALL_PAIRS, OPPOSITE_LABEL_PAIRS]))
+@settings(max_examples=150, deadline=None)
+def test_min_hyperplanes_matches_per_pair_version(rows, mode):
+    # a 3 x 3 grid: duplicate and collinear points are common
+    points = np.array([row[:2] for row in rows], dtype=float).reshape(len(rows), 2)
+    labels = np.array([row[2] for row in rows], dtype=int)
+
+    def outcome(fn):
+        try:
+            return fn(points, labels, mode)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(min_hyperplanes_bruteforce) == outcome(per_pair_min_hyperplanes)
 
 
 def test_min_hyperplanes_refuses_large_instances():

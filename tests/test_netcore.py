@@ -808,6 +808,23 @@ def test_non_finite_input_is_rejected(bad):
         forward_batch(net, xs)
 
 
+@pytest.mark.parametrize("entry", ["forward", "forward_batch", "evaluate_layers"])
+@pytest.mark.parametrize("batch", [np.array([[-1 + 5j]]), np.array([[None]], dtype=object),
+                                   np.array([["1"]])], ids=["complex", "object", "string"])
+def test_non_real_input_is_rejected(entry, batch):
+    # a cast to float64 dropped the imaginary part and read "1" as 1; an
+    # object None passed the finite check and evaluated to bit 0
+    net = ThresholdNetwork([ThresholdLayer.real([[1.0]], [0.0]),
+                            ThresholdLayer.integer([[1]], [-1])], 1)
+    call = {"forward": lambda: forward(net, batch[0]),
+            "forward_batch": lambda: forward_batch(net, batch),
+            "evaluate_layers": lambda: evaluate_layers(net.layers, batch)}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        with pytest.raises(ValueError, match="is not bool, integer or float"):
+            call()
+
+
 def test_empty_batch_gives_empty_result():
     net = xor_gadget_net()
     assert forward_batch(net, np.zeros((0, 2))).shape == (0,)
