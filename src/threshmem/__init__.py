@@ -6,7 +6,7 @@ budgets, and ships companion harnesses for the clustered lower-bound
 geometry and for bit-complexity bounds.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .geometry import (  # noqa: F401
     Dataset,

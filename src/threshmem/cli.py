@@ -144,6 +144,10 @@ def _replay_manifest(args) -> None:
     manifest = _read_json(args.from_manifest)
     if not isinstance(manifest, dict) or manifest.get("command") != "build":
         raise ValueError(f"{args.from_manifest}: manifest does not describe a build command")
+    if manifest.get("version") != __version__:
+        # another version may build another network from the same parameters
+        raise ValueError(f"{args.from_manifest}: manifest version {manifest.get('version')!r} "
+                         f"is not this threshmem's version {__version__!r}")
     params, artifacts = manifest.get("params"), manifest.get("artifacts")
     if not (isinstance(params, dict) and isinstance(artifacts, dict)):
         raise ValueError(f"{args.from_manifest}: manifest needs params and artifacts objects")

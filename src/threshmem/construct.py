@@ -11,8 +11,8 @@ Pipeline, for a dataset of n points in d dimensions separated by delta:
    subsets of at most ceil(sqrt(n)) members; one layer appends subset
    indicator bits and copies the code through.
 4. An expansion layer scatters each code into its subset's chunk, a bank of
-   at most ceil(sqrt(n)) neurons memorizes one member per subset each, and
-   a final OR neuron sums them up.
+   at most ceil(sqrt(n)) neurons memorizes one label-1 member per subset
+   each, and a final OR neuron sums them up.
 
 Every probabilistic step enforces its postcondition by resampling; after
 three consecutive failures at a given width the width doubles, and a global
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, Dataset, SeparationMode, check_separation
+from .geometry import DEFAULT_TOL, Dataset, SeparationMode, as_bit_labels, check_separation
 from .netcore import (
     NetworkAudit,
     ThresholdLayer,
@@ -451,35 +451,35 @@ def build_expansion_layer(part: PrefixPartition, d2: int) -> ThresholdLayer:
 
 
 def build_memorization_layer(part: PrefixPartition, codes, labels) -> ThresholdLayer:
-    """One neuron per within-subset rank; neuron i recalls the i-th member
-    of every subset.
+    """One neuron per within-subset rank of the label-1 members; neuron i
+    recalls the i-th label-1 member of every subset. Label-0 members need
+    none: the output is an OR of the bank. Every neuron has bias -1.
 
-    For subset j's i-th member with code z and label y the chunk reads
-    (-popcount(z) + y - 1, 2z - 1), which scores y - 1 on the member's own
-    expanded code and at most y - 2 on any other code of that subset.
-    Subsets with fewer than i members get the sentinel chunk (-1, 0, ..., 0)
-    so their codes can never activate the neuron. All biases are zero.
+    For subset j's i-th label-1 member with code z, chunk j reads
+    (1 - popcount(z), 2z - 1), so on an expanded code (1, z') it scores
+    -hamming(z, z'): 0 on the member's own code, which fires, and at most -1
+    on any other code of the subset. A chunk without entries scores -1.
     """
     codes = as_code_matrix(codes)
-    labels = np.asarray(labels)
+    labels = as_bit_labels(labels)
     if labels.shape != (codes.shape[0],):
         raise ValueError("labels must align with codes")
     d2 = codes.shape[1]
-    R = part.max_subset_size
-    sizes = np.array([len(sub.member_indices) for sub in part.subsets])
     member = np.concatenate([sub.member_indices for sub in part.subsets])
-    rank = np.arange(member.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    base = np.repeat(np.arange(part.K) * (d2 + 1), sizes)
+    subset = np.repeat(np.arange(part.K), [len(sub.member_indices) for sub in part.subsets])
+    ones = labels[member] == 1
+    member, subset = member[ones], subset[ones]
+    counts = np.bincount(subset, minlength=part.K)
+    rank = np.arange(member.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    base = subset * (d2 + 1)
     z = codes[member].astype(np.int64)
-    head = labels[member].astype(np.int64) - z.sum(axis=1) - 1
-    empty_subset, empty_rank = np.nonzero(np.arange(R) >= sizes[:, None])
+    R = max(1, int(counts.max()))
     return ThresholdLayer.integer_from_entries(
         R, part.K * (d2 + 1),
-        np.concatenate([rank, np.repeat(rank, d2), empty_rank]),
-        np.concatenate([base, (base[:, None] + 1 + np.arange(d2)).ravel(),
-                        empty_subset * (d2 + 1)]),
-        np.concatenate([head, (2 * z - 1).ravel(), np.full(empty_rank.size, -1)]),
-        np.zeros(R, dtype=np.int64),
+        np.concatenate([rank, np.repeat(rank, d2)]),
+        np.concatenate([base, (base[:, None] + 1 + np.arange(d2)).ravel()]),
+        np.concatenate([1 - z.sum(axis=1), (2 * z - 1).ravel()]),
+        np.full(R, -1),
     )
 
 
@@ -576,14 +576,15 @@ def construct_memorizer(ds: Dataset, cfg: ConstructionConfig):
     d2 = comp.plan.m
     xor = build_xor_subnetwork(comp.plan, d1)
     part = prefix_partition(comp.compressed)
+    bank = build_memorization_layer(part, comp.compressed, ds.labels)
     # the network is these steps' layers in this order
     steps = [
         ("first_layer", [first.layer]),
         ("xor_compression", xor.layers),
         ("selector", [build_selector_layer(part, d2)]),
         ("expansion", [build_expansion_layer(part, d2)]),
-        ("memorization", [build_memorization_layer(part, comp.compressed, ds.labels)]),
-        ("output", [build_output_layer(part.max_subset_size)]),
+        ("memorization", [bank]),
+        ("output", [build_output_layer(bank.out_dim)]),
     ]
     net = ThresholdNetwork([layer for _, layers in steps for layer in layers], ds.dim)
 

@@ -94,20 +94,27 @@ class SeparationMode:
         return self.kind == ANGULAR
 
 
+def as_bit_labels(labels) -> np.ndarray:
+    """Labels as an int8 array, refusing any value that is not the number 0
+    or 1 before the cast could wrap, truncate or parse it."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind not in "biuf" or not np.isin(raw, (0, 1)).all():
+        raise ValueError("labels must be bits in {0, 1}")
+    return raw.astype(np.int8)
+
+
 class Dataset:
     """Immutable ordered collection of labeled points sharing one dimension."""
 
     def __init__(self, features, labels):
         features = np.array(features, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int8)
+        labels = as_bit_labels(labels)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array (n, d)")
         if features.shape[0] < 1:
             raise ValueError("dataset needs at least one point")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be a vector aligned with features rows")
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be bits in {0, 1}")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
         features.flags.writeable = False

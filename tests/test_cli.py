@@ -273,19 +273,21 @@ def test_multi_batch_generate_output_is_pinned(tmp_path, mode, d, delta, digest)
 
 #: sha256 of the report.json beside each pinned network below
 REPORT_DIGESTS = {
-    "distance": "2b0ec7d413a16aac6f76c139ba3a5813e0287fa0fcd972a0a845d4d3ef8ac031",
-    "angular": "531ad6e6422bf9f7c168004f0a8ad6b502afdedfaf5f3effff5f4ecaad8fbd1f",
+    "distance": "082806c5189cacbb4523b47eef7e10f3f22706ed9ee623fcd26f494baa013e74",
+    "angular": "fb5a2be4fbaab903975cbbd9c0b83a0dcb857fd4e86f753bf26a9ffd6ac6db70",
 }
 
 
 @pytest.mark.parametrize("mode, digest", [
-    ("distance", "e2d317a3d37210e93add023d7c79eae26411f7000eb9763546857b529154918b"),
-    ("angular", "5e8739a97d80e585c08471b4e64b4e543bde0f6870f690330cf85f5a2b79a75e"),
+    ("distance", "42e8d16d3bdb71eb128a378a843dca3a9bdedafbbb37c57790352da37145d3e1"),
+    ("angular", "43ac9163046f0882de47df0c076ffefd6248380fb0a413a6812da6fa3fbac3df"),
 ])
 def test_build_output_is_pinned(tmp_path, mode, digest):
     # the network pinned from the json.dumps writer; five-digit rows and
     # columns and negative weights, in some 25 layers. The report pinned
-    # from the hand-written step spans and per-step counts
+    # from the hand-written step spans and per-step counts. Both re-pinned at
+    # 0.2.0, whose bank keeps only label-1 rows; every layer before the bank
+    # was checked byte-identical to the 0.1.0 network
     data, net, report = tmp_path / "ds.csv", tmp_path / "net.json", tmp_path / "r.json"
     assert run(["generate", "--n", 256, "--d", 16, "--delta", 0.1, "--seed", 5,
                 "--mode", mode, "--out", data]) == 0
@@ -653,7 +655,7 @@ def test_seed_env_variable(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("missing", ["params", "artifacts"])
+@pytest.mark.parametrize("missing", ["params", "artifacts", "version"])
 def test_build_from_incomplete_manifest_is_contract_error(tmp_path, small_dataset, missing):
     net_path = tmp_path / "net.json"
     assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
@@ -663,6 +665,24 @@ def test_build_from_incomplete_manifest_is_contract_error(tmp_path, small_datase
     del doc[missing]
     manifest.write_text(json.dumps(doc))
     assert run(["build", "--from-manifest", manifest]) == 2
+
+
+def test_build_from_other_version_manifest_is_contract_error(tmp_path, small_dataset, capsys):
+    # a 0.1.0 build kept a row for every member, so its manifest no longer
+    # reproduces its network
+    net_path = tmp_path / "net.json"
+    assert run(["build", "--dataset", small_dataset, "--delta", 0.3, "--seed", 4,
+                "--out", net_path, "--report", tmp_path / "r.json"]) == 0
+    manifest = tmp_path / "net.manifest.json"
+    doc = read_json(manifest)
+    doc["version"] = "0.1.0"
+    manifest.write_text(json.dumps(doc))
+    net_path.unlink()
+    capsys.readouterr()
+    assert run(["build", "--from-manifest", manifest]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        f"{manifest}: manifest version '0.1.0' is not this threshmem's version '0.2.0'")
+    assert not net_path.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--eps1", 2), ("--max-retries", 0)])

@@ -417,14 +417,14 @@ def test_expansion_layer_random_inputs_single_chunk():
 
 
 def test_memorization_neuron_arithmetic_single_subset():
-    # one subset, one code z = (1, 1) labeled 1: chunk (-2, 1, 1) scores 0
-    # on the member's expanded code and sigma(0) = 1 recalls the label
+    # one subset, one code z = (1, 1) labeled 1: chunk (-1, 1, 1) and bias
+    # -1 score 0 on the member's expanded code and sigma(0) = 1 recalls it
     codes = np.array([[1, 1]], dtype=np.uint8)
     part = prefix_partition(codes)
     layer = build_memorization_layer(part, codes, np.array([1]))
     W = layer.weights.toarray()
-    assert list(W[0]) == [-2, 1, 1]
-    assert list(layer.biases) == [0]
+    assert list(W[0]) == [-1, 1, 1]
+    assert list(layer.biases) == [-1]
     out = evaluate_layers([layer], np.array([[1, 1, 1]], dtype=np.uint8))
     assert out[0, 0] == 1
 
@@ -435,15 +435,16 @@ def test_memorization_neuron_rejects_other_codes():
     labels = np.array([1, 1])
     layer = build_memorization_layer(part, codes, labels)
     # both codes share the one subset (cap 2); neuron 0 owns code (1,1)
-    # and must reject the expanded code of (1,0): dot = -2 + 1 = -1
+    # and must reject the expanded code of (1,0): -1 + 1 - 1 (bias) = -1
     expanded_other = np.array([[1, 1, 0]], dtype=np.uint8)
     out = evaluate_layers([layer], expanded_other)
     assert out[0, 0] == 0
 
 
-def test_memorization_sentinel_blocks_short_subsets():
-    # subset "1" has two members, subset "0" only one; neuron 1 carries the
-    # sentinel (-1, 0, ...) for subset "0" and rejects every code of it
+def test_memorization_chunk_without_entries_scores_minus_one():
+    # subset "1" has two members, subset "0" only one; neuron 1 has no
+    # entries in subset "0"'s chunk, so on that subset's code it scores its
+    # bias -1 alone and stays silent
     codes = np.array([[0, 0, 0], [1, 0, 1], [1, 1, 0]], dtype=np.uint8)
     part = prefix_partition(codes)
     sizes = {s.prefix: len(s.member_indices) for s in part.subsets}
@@ -453,6 +454,11 @@ def test_memorization_sentinel_blocks_short_subsets():
     sel = build_selector_layer(part, d2)
     exp = build_expansion_layer(part, d2)
     mem = build_memorization_layer(part, codes, labels)
+    short = [s.prefix for s in part.subsets].index("0")
+    W = mem.weights.toarray()
+    assert not W[1, short * (d2 + 1) : (short + 1) * (d2 + 1)].any()
+    expanded = evaluate_layers([sel, exp], codes)
+    assert W[1] @ expanded[0] + mem.biases[1] == -1
     out = evaluate_layers([sel, exp, mem], codes)
     # each sample activates exactly the neuron of its within-subset rank,
     # because all labels are 1
@@ -755,22 +761,18 @@ def reference_expansion_layer(part, d2):
 
 def reference_memorization_layer(part, codes, labels):
     d2 = codes.shape[1]
-    R = part.max_subset_size
+    ones = [[int(i) for i in sub.member_indices if labels[i] == 1] for sub in part.subsets]
+    R = max(1, max(len(members) for members in ones))
     sink = _ReferenceLayerSink(part.K * (d2 + 1))
     for i in range(R):
         entries = []
-        for j, sub in enumerate(part.subsets):
-            base = j * (d2 + 1)
-            if i < len(sub.member_indices):
-                idx = int(sub.member_indices[i])
-                z = codes[idx]
-                y = int(labels[idx])
-                t = int(z.sum())
-                entries.append((base, -t + y - 1))
+        for j, members in enumerate(ones):
+            if i < len(members):
+                base = j * (d2 + 1)
+                z = codes[members[i]]
+                entries.append((base, 1 - int(z.sum())))
                 entries.extend((base + 1 + jj, 2 * int(z[jj]) - 1) for jj in range(d2))
-            else:
-                entries.append((base, -1))
-        sink.add_row(entries, 0)
+        sink.add_row(entries, -1)
     return sink.build()
 
 
@@ -836,3 +838,50 @@ def test_partition_layers_equal_reference(case):
     assert (build_memorization_layer(part, codes, labels)
             == reference_memorization_layer(part, codes, labels))
     assert build_output_layer(part.max_subset_size) == reference_output_layer(part.max_subset_size)
+
+
+LABEL_PATTERNS = ("zeros", "ones", "random", "one_subset_zero", "singletons")
+
+
+@st.composite
+def labeled_separated_sets(draw):
+    """A separated set, a build config, and labels drawn against the set's
+    prefix partition, which no label choice changes."""
+    from threshmem.geometry import generate_separated_dataset
+
+    mode = draw(st.sampled_from([SeparationMode.distance(0.3), SeparationMode.angular(0.3)]))
+    ds = generate_separated_dataset(draw(st.integers(1, 40)), draw(st.integers(4, 8)), mode,
+                                    seed=draw(st.integers(0, 2**16)))
+    cfg = ConstructionConfig(mode=mode, seed=draw(st.integers(0, 2**16)))
+    part = prefix_partition(plan_compression(build_first_layer(ds, cfg).codes, cfg).compressed)
+    pattern = draw(st.sampled_from(LABEL_PATTERNS))
+    labels = np.zeros(ds.n, dtype=np.int8)
+    if pattern == "ones":
+        labels[:] = 1
+    elif pattern in ("random", "one_subset_zero"):
+        labels[:] = draw(st.lists(st.integers(0, 1), min_size=ds.n, max_size=ds.n))
+    if pattern == "one_subset_zero":
+        labels[draw(st.sampled_from(part.subsets)).member_indices] = 0
+    elif pattern == "singletons":  # label 1 exactly on the one-member subsets
+        for sub in part.subsets:
+            labels[sub.member_indices] = len(sub.member_indices) == 1
+    return ds.relabeled(labels), cfg, part
+
+
+@given(labeled_separated_sets())
+@settings(max_examples=60, deadline=None)
+def test_label_one_bank_recalls_every_label(case):
+    ds, cfg, part = case
+    net, report = construct_memorizer(ds, cfg)
+    assert np.array_equal(forward_batch(net, ds.features), ds.labels)
+    start, _ = next(s.layer_span for s in report.steps if s.step == "memorization")
+    most_ones = max(int(ds.labels[sub.member_indices].sum()) for sub in part.subsets)
+    assert net.layers[start].out_dim == max(1, most_ones)
+    assert max(layer.max_abs_weight() for layer in net.layers[1:]) <= report.d2 + 1
+
+
+@pytest.mark.parametrize("labels", [[0.5], [1.7], ["1"], [257], [float("nan")]])
+def test_memorization_layer_refuses_non_bit_labels(labels):
+    codes = np.array([[1, 0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="labels must be bits"):
+        build_memorization_layer(prefix_partition(codes), codes, labels)

@@ -635,3 +635,10 @@ def test_tight_cloud_shortlists_few_pairs(monkeypatch):
     monkeypatch.setattr(geometry, "_exact_distances", counted)
     assert not check_separation(Dataset(X, np.zeros(len(X))), SeparationMode.distance(1e-3)).holds
     assert sum(measured) < 0.01 * len(X) * (len(X) - 1) / 2
+
+
+@pytest.mark.parametrize("labels", [[0.5], [1.7], ["1"], [257], [-1], [float("nan")], [None]])
+def test_dataset_refuses_labels_that_are_not_bits(labels):
+    # a fraction, a string, an int past int8, NaN or None never reaches the int8 cast
+    with pytest.raises(ValueError, match="labels must be bits"):
+        Dataset([[0.1, 0.2]], labels)
