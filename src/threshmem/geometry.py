@@ -107,7 +107,11 @@ class Dataset:
     """Immutable ordered collection of labeled points sharing one dimension."""
 
     def __init__(self, features, labels):
-        features = np.array(features, dtype=np.float64)
+        raw = np.asarray(features)
+        # the float64 cast would parse strings and read booleans as 0 and 1
+        if raw.dtype.kind not in "iuf":
+            raise ValueError(f"features dtype {raw.dtype} is not integer or float")
+        features = raw.astype(np.float64)
         labels = as_bit_labels(labels)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array (n, d)")

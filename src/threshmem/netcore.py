@@ -3,10 +3,11 @@
 A network is a stack of affine layers followed by the Heaviside step
 sigma(z) = 1 iff z >= 0 (ties activate). The first layer may carry real
 weights; all other layers built by this package carry bounded integers
-stored sparsely. Their evaluation on {0,1} inputs is exact, with no
-rounding: bits are packed 64 samples to a uint64 word, rows with at most
-two inputs run as truth tables on whole words, and wider rows as exact
-integer sparse products.
+stored sparsely in an int64 CSR. Their evaluation on {0,1} inputs is
+exact, with no rounding: bits are packed 64 samples to a uint64 word, rows
+with at most two inputs run as truth tables on whole words, and wider rows
+gather their weights over the set input bits into one accumulator per row
+and sample.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 REAL = "real"
 INTEGER = "integer"
@@ -49,12 +49,103 @@ class SerializationError(ValueError):
     """Malformed network document; the message names the offending location."""
 
 
+class IntCSR:
+    """A read-only int64 sparse matrix in canonical CSR form: rows in order,
+    columns strictly increasing within a row, no stored zero. Row r's
+    columns and values are indices and data at indptr[r]:indptr[r + 1]."""
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape):
+        """The matrix of CSR arrays in the looser form scipy's csr_array
+        takes: columns in any order within a row, duplicates and zeros
+        allowed. They are made canonical as from_entries makes its entries."""
+        indptr = np.asarray(indptr)
+        if not (indptr.shape == (shape[0] + 1,) and indptr.dtype.kind in "iu" and indptr[0] == 0
+                and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()):
+            raise ValueError(f"indptr must rise from 0 to the entry count in {shape[0] + 1} integers")
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        self._hold(*_canonical_entries(shape, rows, indices, data), shape)
+
+    @classmethod
+    def from_entries(cls, shape, rows, cols, vals) -> "IntCSR":
+        """The matrix of (row, col, value) entries in any order; duplicates
+        are summed, then zeros dropped. Raises ValueError for a value the
+        int64 cast would not keep or an index outside shape."""
+        return cls._trusted(*_canonical_entries(shape, rows, cols, vals), shape)
+
+    @classmethod
+    def _trusted(cls, indptr, indices, data, shape) -> "IntCSR":
+        """Arrays already canonical and owned by nobody else, held as they are."""
+        W = cls.__new__(cls)
+        W._hold(indptr, indices, data, shape)
+        return W
+
+    def _hold(self, indptr, indices, data, shape) -> None:
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def row_of(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row_of(), self.indices] = self.data
+        return out
+
+    def take_rows(self, keep: np.ndarray) -> "IntCSR":
+        """The matrix of the rows where the boolean vector keep is set."""
+        fan_in = np.diff(self.indptr)
+        entries = np.repeat(keep, fan_in)
+        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(fan_in[keep], out=indptr[1:])
+        return IntCSR._trusted(indptr, self.indices[entries], self.data[entries],
+                               (indptr.size - 1, self.shape[1]))
+
+
+def _canonical_entries(shape, rows, cols, vals):
+    """(indptr, indices, data) of the matrix of (row, col, value) entries in
+    any order, in new int64 arrays: sorted by row, then column, duplicates
+    summed, zeros dropped. Entries that already keep _entries_obey_rules'
+    order take one pass."""
+    vals = np.asarray(vals)
+    _check_int64_values(vals, "weight")
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = vals.astype(np.int64, copy=False)
+    if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
+        raise ValueError("entry rows, columns and values must be vectors of one length")
+    if _entries_obey_rules(rows, cols, vals, shape[0], shape[1], INTEGER):
+        cols, vals = cols.copy(), vals.copy()  # never shared with the caller
+    else:
+        if not (0 <= rows.min() and rows.max() < shape[0] and 0 <= cols.min() and cols.max() < shape[1]):
+            raise ValueError(f"entry index outside the {shape[0]} x {shape[1]} matrix")
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if repeat.any():  # integer sums do not depend on the duplicates' order
+            first = np.flatnonzero(np.r_[True, ~repeat])
+            rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        if not vals.all():
+            keep = vals != 0
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return indptr, cols, vals
+
+
 class ThresholdLayer:
     """One affine map plus Heaviside activation.
 
-    Real layers hold a dense float64 matrix; integer layers hold an int64
-    CSR matrix whose structural nonzeros are exactly the connections the
-    layer owns. Both are frozen after construction.
+    Real layers hold a dense float64 matrix; integer layers hold an IntCSR
+    whose stored entries are exactly the connections the layer owns. Both
+    are frozen after construction.
     """
 
     __slots__ = ("weights", "biases", "domain", "_eval_cache")
@@ -73,21 +164,12 @@ class ThresholdLayer:
             weights.flags.writeable = False
             biases.flags.writeable = False
         else:
-            if not sparse.issparse(weights):
-                # scipy refuses the object array that holds an int past int64
-                weights = np.asarray(weights)
-                _check_int64_values(weights, "weight")
-                weights = weights.astype(np.int64)
-            weights = sparse.csr_array(weights)
-            _check_int64_values(weights.data, "weight")
-            weights = weights.astype(np.int64)
-            weights.eliminate_zeros()
-            weights.sum_duplicates()
+            if not isinstance(weights, IntCSR):  # every IntCSR is canonical
+                weights = _as_csr(weights)
             biases = np.asarray(biases)
             _check_int64_values(biases, "bias")
             biases = biases.astype(np.int64)
             biases.flags.writeable = False
-            weights.data.flags.writeable = False
         if biases.ndim != 1 or weights.shape[0] != biases.shape[0]:
             raise ValueError(
                 f"bias length {biases.shape} does not match weight rows {weights.shape}"
@@ -128,11 +210,7 @@ class ThresholdLayer:
     @classmethod
     def integer_from_entries(cls, out_dim, in_dim, rows, cols, vals, biases) -> "ThresholdLayer":
         """Integer layer from parallel (row, col, value) entry arrays."""
-        mat = sparse.coo_array(
-            (np.asarray(vals, dtype=np.int64), (np.asarray(rows), np.asarray(cols))),
-            shape=(out_dim, in_dim),
-        ).tocsr()
-        return cls(mat, biases, INTEGER)
+        return cls(IntCSR.from_entries((out_dim, in_dim), rows, cols, vals), biases, INTEGER)
 
     def weight_entries(self) -> int:
         """Structural nonzero count: all entries for dense real layers."""
@@ -180,18 +258,31 @@ def _check_int64_values(values: np.ndarray, what: str) -> None:
                          "of magnitude below 2^63")
 
 
-def _check_row_bounds(W, biases: np.ndarray) -> None:
+def _as_csr(weights) -> IntCSR:
+    """A dense 2-D array, or a sparse matrix with tocsr(), as an IntCSR."""
+    if hasattr(weights, "tocsr"):
+        W = weights.tocsr()
+        return IntCSR(W.indptr, W.indices, W.data, W.shape)
+    weights = np.asarray(weights)
+    if weights.ndim != 2:
+        raise ValueError("integer weights must be a 2-D array")
+    # every value, as the zeros nonzero skips include a falsy None
+    _check_int64_values(weights, "weight")
+    rows, cols = np.nonzero(weights)
+    return IntCSR.from_entries(weights.shape, rows, cols, weights[rows, cols])
+
+
+def _check_row_bounds(W: IntCSR, biases: np.ndarray) -> None:
     """Refuse an integer layer with a row whose sum of |weights| + |bias|
-    passes int64: the evaluator's truth tables and int64 products are
+    passes int64: the evaluator's truth tables and int64 accumulators are
     exact only within that bound, and wrap silently past it.
 
     A float64 sum accepts every row below 2^62 at once; its rounding is far
     smaller than the margin to 2^63. Rows above that are summed again in
     Python ints, which are exact where np.abs(-2**63) wraps.
     """
-    row_of = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
     approx = np.abs(biases.astype(np.float64))
-    approx += np.bincount(row_of, weights=np.abs(W.data.astype(np.float64)),
+    approx += np.bincount(W.row_of(), weights=np.abs(W.data.astype(np.float64)),
                           minlength=W.shape[0])
     for r in np.flatnonzero(approx >= 2.0**62).tolist():
         lo, hi = W.indptr[r], W.indptr[r + 1]
@@ -243,6 +334,11 @@ def _word_masks(flags: np.ndarray) -> np.ndarray:
     return np.where(flags, _ALL_ONES, np.uint64(0))[:, None]
 
 
+#: Terms the integer products gather at a time: blocks this small reuse
+#: their memory, where larger ones page in fresh memory every call.
+_BLOCK_TERMS = 1 << 15
+
+
 class _PackedPlan:
     """An integer layer split for evaluation on packed {0,1} inputs.
 
@@ -255,14 +351,17 @@ class _PackedPlan:
     as four word masks per row, so 64 samples cost one word operation each.
     A fan-in-1 row takes B = A with wb = 0; a fan-in-0 row is the constant
     c0. The entries are int64, so a table is exact while |wa| + |wb| + |c|
-    fits in int64, as the matmul accumulator needs too; ThresholdLayer
+    fits in int64, as the wide rows' accumulators need too; ThresholdLayer
     refuses any row past that bound.
 
-    Wider rows (selectors, memorization bank, output OR) multiply their
-    unpacked input as an int64 sparse product, exact under the same bound.
+    Wider rows (selectors, memorization bank, output OR) are kept by input:
+    each set input bit adds the weights of the rows that read its input to
+    their accumulators for its sample, so the cost follows the set bits, not
+    the input width. The weights are gathered straight from the wide rows'
+    entries listed by input, _BLOCK_TERMS terms or so at a time.
     """
 
-    def __init__(self, W, biases: np.ndarray):
+    def __init__(self, W: IntCSR, biases: np.ndarray):
         fan_in = np.diff(W.indptr)
         pair = fan_in <= 2
         self.pair_rows = np.flatnonzero(pair)
@@ -283,8 +382,18 @@ class _PackedPlan:
         self.cb = _word_masks(f00 ^ f01)
         self.cab = _word_masks(f00 ^ f10 ^ f01 ^ f11)
 
-        self.wide = W[self.wide_rows]
-        self.wide_neg_bias = -biases[self.wide_rows][:, None]
+        if self.wide_rows.size:
+            self._index_wide(W.take_rows(~pair), biases[~pair])
+
+    def _index_wide(self, wide: IntCSR, biases: np.ndarray) -> None:
+        """The wide rows' entries listed by input, as _apply_wide gathers them."""
+        self.wide_neg_bias = -biases[:, None]
+        order = np.argsort(wide.indices, kind="stable")  # by input, then row
+        self.readers, self.reader_weights = wide.row_of()[order], wide.data[order]
+        fan_out = np.bincount(wide.indices, minlength=wide.shape[1])
+        self.read = np.flatnonzero(fan_out)  # the inputs some wide row reads
+        self.fan_out = fan_out[self.read]
+        self.first_reader = (np.cumsum(fan_out) - fan_out)[self.read]
 
     def apply(self, P: np.ndarray) -> np.ndarray:
         """(in_dim, words) packed input bits -> (out_dim, words) packed output bits."""
@@ -306,18 +415,36 @@ class _PackedPlan:
         return out
 
     def _apply_wide(self, P: np.ndarray) -> np.ndarray:
-        # after the expansion layer one chunk of K is live per sample, so the
-        # input is sparse: its set bits are read from the nonzero words only
-        # and enter the product as a sparse matrix
-        r, w = np.nonzero(P)
-        at = np.flatnonzero(np.unpackbits(P[r, w].view(np.uint8), bitorder="little"))
-        rows = r[at >> 6]
-        cols = (w[at >> 6] << 6) | (at & 63)
-        indptr = np.zeros(P.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=P.shape[0]), out=indptr[1:])
-        X = sparse.csr_array((np.ones(rows.size, dtype=np.int64), cols, indptr),
-                             shape=(P.shape[0], P.shape[1] * 64))
-        return _pack((self.wide @ X).toarray() >= self.wide_neg_bias)
+        inputs, samples = _set_bits(P[self.read])
+        rows, S = self.wide_rows.size, P.shape[1] * 64
+        counts = self.fan_out[inputs]
+        start = np.cumsum(counts) - counts  # each set bit's first term
+        # blocks of bits that start terms in the same _BLOCK_TERMS
+        bounds = np.r_[np.flatnonzero(np.diff(start // _BLOCK_TERMS, prepend=-1)), inputs.size]
+        # int64 sums are exact within the row bound ThresholdLayer enforces
+        acc = np.zeros(S * rows, dtype=np.int64)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            n = counts[lo:hi]
+            # a bit's k-th term reads its input's k-th entry
+            at = np.repeat(self.first_reader[inputs[lo:hi]] - (start[lo:hi] - start[lo]), n)
+            at += np.arange(at.size)
+            cells = self.readers[at]
+            cells += np.repeat(samples[lo:hi] * rows, n)
+            np.add.at(acc, cells, self.reader_weights[at])
+        return _pack(acc.reshape(S, rows).T >= self.wide_neg_bias)
+
+
+def _set_bits(P: np.ndarray):
+    """(row, sample) of every set bit of packed bits P. After the expansion
+    layer one chunk of K is live per sample, so P is sparse: the bits are
+    read from its nonzero words, and of those from the nonzero bytes only."""
+    r, w = np.nonzero(P)
+    octets = P[r, w].view(np.uint8)
+    nonzero = np.flatnonzero(octets)
+    at = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little"))
+    byte = nonzero[at >> 3]
+    word = byte >> 3
+    return r[word], (w[word] << 6) | ((byte & 7) << 3) | (at & 7)
 
 
 def _pack(Z: np.ndarray) -> np.ndarray:
@@ -340,14 +467,17 @@ def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
 
     Real layers run here, and an integer layer whose input is not all bits.
     Both compute in float64, which is exact for an integer layer while every
-    term stays below 2^53. The block is padded with zero columns to
-    EVAL_CHUNK, so every product has one shape: BLAS may round a column of
-    a narrow product differently from the same column of a wide one.
+    term stays below 2^53. A real layer's block is padded with zero columns
+    to EVAL_CHUNK, so every product has one shape: BLAS may round a column
+    of a narrow product differently from the same column of a wide one.
     """
     B = Z.shape[1]
-    padded = np.zeros((Z.shape[0], EVAL_CHUNK))
-    padded[:, :B] = Z
-    P = (layer.weights @ padded)[:, :B]
+    if layer.is_integer:
+        P = _integer_product(layer.weights, Z.astype(np.float64))
+    else:
+        padded = np.zeros((Z.shape[0], EVAL_CHUNK))
+        padded[:, :B] = Z
+        P = (layer.weights @ padded)[:, :B]
     P += layer.biases[:, None]
     if layer.domain == REAL and np.any(np.abs(P) <= TIE_TOLERANCE):
         warnings.warn(
@@ -357,6 +487,23 @@ def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
             stacklevel=4,
         )
     return P >= 0
+
+
+def _integer_product(W: IntCSR, Z: np.ndarray) -> np.ndarray:
+    """W @ Z in float64, each sum taken from zero over its row's entries in
+    index order, as scipy's csr_matvecs takes it, so the two round alike
+    and a column's sums never depend on the others. np.add.at adds its
+    terms one at a time in the order given; flat indices keep it on its
+    fast loop."""
+    B = Z.shape[1]
+    acc = np.zeros(W.shape[0] * B)
+    row_of = W.row_of()
+    step = max(1, _BLOCK_TERMS // max(B, 1))
+    for lo in range(0, W.nnz, step):
+        at = slice(lo, lo + step)
+        terms = W.data[at, None].astype(np.float64) * Z[W.indices[at]]
+        np.add.at(acc, (row_of[at, None] * B + np.arange(B)).ravel(), terms.ravel())
+    return acc.reshape(W.shape[0], B)
 
 
 def _apply_chunked(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
@@ -554,7 +701,7 @@ def _layer_text(layer: ThresholdLayer) -> bytes:
         # the constructor leaves the CSR canonical: row-major, columns
         # sorted within each row, no duplicates
         W = layer.weights
-        rows, cols, vals = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr)), W.indices, W.data
+        rows, cols, vals = W.row_of(), W.indices, W.data
     else:
         rows, cols = np.nonzero(layer.weights)
         vals = layer.weights[rows, cols]

@@ -465,11 +465,13 @@ def test_deeply_nested_planes_or_manifest_json_is_contract_error(fuzz_base):
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # the separation scans need no scipy.spatial, whose import costs every
-    # fresh process about 0.2 s and 17 MB
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, threshmem.cli; print('scipy.spatial' in sys.modules)"],
-        env=CHILD_ENV, capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False"]
+    # fresh process about 0.2 s and 17 MB, and the integer layers no
+    # scipy.sparse, whose import costs about 0.15 s: no scipy module loads
+    code = ("import sys, threshmem.cli; print('scipy.spatial' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=CHILD_ENV, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "[]"]
 
 
 def test_separate_rejects_non_bit_label(tmp_path, capsys):

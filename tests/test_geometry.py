@@ -642,3 +642,24 @@ def test_dataset_refuses_labels_that_are_not_bits(labels):
     # a fraction, a string, an int past int8, NaN or None never reaches the int8 cast
     with pytest.raises(ValueError, match="labels must be bits"):
         Dataset([[0.1, 0.2]], labels)
+
+
+@pytest.mark.parametrize("features", [
+    [["0.1", "0.2"]],
+    [[True, False]],
+    np.array([[0.1, None]], dtype=object),
+    np.array([[0.1, 0.2]], dtype=object),
+    [[0.1 + 0j, 0.2]],
+], ids=["string", "bool", "object-none", "object-float", "complex"])
+def test_dataset_refuses_features_that_are_not_real_numbers(features):
+    # the float64 cast parsed "0.1", read True as 1.0 and dropped an
+    # imaginary part
+    with pytest.raises(ValueError, match="features dtype .* is not integer or float"):
+        Dataset(features, [1])
+
+
+def test_dataset_accepts_integer_and_float_features():
+    for features in ([[1, 2]], np.array([[1, 2]], dtype=np.uint8), [[0.5, 2.0]]):
+        ds = Dataset(features, [1])
+        assert ds.features.dtype == np.float64
+        assert ds.features.tolist() == [[float(v) for v in np.asarray(features)[0]]]

@@ -20,6 +20,7 @@ from threshmem.geometry import SeparationMode, generate_separated_dataset
 from threshmem.netcore import (
     EVAL_CHUNK,
     PACK_BLOCK,
+    IntCSR,
     SerializationError,
     ThresholdLayer,
     ThresholdNetwork,
@@ -295,10 +296,11 @@ def reference_serialize(net):
             vals = [float(v) for v in layer.weights[rows, cols]]
             bias = [float(b) for b in layer.biases]
         else:
-            coo = layer.weights.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            rows, cols = coo.row[order], coo.col[order]
-            vals = [int(v) for v in coo.data[order]]
+            W = layer.weights
+            row = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+            order = np.lexsort((W.indices, row))
+            rows, cols = row[order], W.indices[order]
+            vals = [int(v) for v in W.data[order]]
             bias = [int(b) for b in layer.biases]
         doc["layers"].append(
             {
@@ -682,16 +684,22 @@ def test_deserialize_refuses_real_layer_larger_than_document():
 # Evaluation against the per-chunk matmul reference
 
 
+def scipy_csr(W):
+    """An integer layer's weights as a scipy matrix, for the scipy references."""
+    return sparse.csr_array((W.data, W.indices, W.indptr), shape=W.shape)
+
+
 def _reference_apply(layer, Z):
     if layer.domain == "real":
         P = layer.weights @ Z.astype(np.float64, copy=False)
         P += layer.biases[:, None]
         return P >= 0
-    row_bound = np.abs(layer.weights).sum(axis=1) + np.abs(layer.biases)
+    weights = scipy_csr(layer.weights)
+    row_bound = np.abs(weights).sum(axis=1) + np.abs(layer.biases)
     if row_bound.size == 0 or row_bound.max() < np.iinfo(np.int32).max:
-        W, neg_bias = layer.weights.astype(np.int32), (-layer.biases).astype(np.int32)
+        W, neg_bias = weights.astype(np.int32), (-layer.biases).astype(np.int32)
     else:
-        W, neg_bias = layer.weights, -layer.biases
+        W, neg_bias = weights, -layer.biases
     return W @ Z.astype(W.dtype, copy=False) >= neg_bias[:, None]
 
 
@@ -829,3 +837,211 @@ def test_empty_batch_gives_empty_result():
     net = xor_gadget_net()
     assert forward_batch(net, np.zeros((0, 2))).shape == (0,)
     assert evaluate_layers(net.layers[:1], np.zeros((0, 2))).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The owned CSR and the integer products against scipy and exact integers
+
+
+@st.composite
+def entry_lists(draw):
+    """(shape, rows, cols, values) of entries in any order: duplicates,
+    explicit zeros and sums that cancel, values of every size an int64,
+    uint64 or object array holds, and now and then an index outside."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    dtype = draw(st.sampled_from([np.int64, np.uint64, object]))
+    big = {np.int64: st.integers(-(2**63), INT64_MAX), np.uint64: st.integers(0, 2**64 - 1),
+           object: st.integers(-(2**64), 2**64)}[dtype]
+    small = st.integers(0, 3) if dtype is np.uint64 else st.integers(-3, 3)
+    k = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, shape[0] - 1), min_size=k, max_size=k))
+    cols = draw(st.lists(st.integers(0, shape[1] - 1), min_size=k, max_size=k))
+    vals = draw(st.lists(small | big if draw(st.booleans()) else small, min_size=k, max_size=k))
+    if k and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, k - 1))
+        (rows if draw(st.booleans()) else cols)[at] = draw(st.sampled_from([-1, 5]))
+    return shape, rows, cols, np.array(vals, dtype=dtype)
+
+
+def loose_csr(shape, rows, cols, vals):
+    """IntCSR's constructor on the entries as CSR arrays in the looser form
+    scipy's csr_array takes: rows in order, columns in any order within a
+    row, duplicates and zeros kept. Needs every row index inside shape."""
+    rows = np.array(rows, dtype=np.int64)
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
+    return IntCSR(indptr, np.array(cols, dtype=np.int64)[by_row], vals[by_row], shape)
+
+
+@given(entry_lists())
+@settings(max_examples=400, deadline=None)
+def test_owned_csr_matches_scipy(case):
+    shape, rows, cols, vals = case
+    # an int64 array holds int64 values; any other needs magnitudes below 2^63
+    if vals.dtype != np.int64 and any(abs(int(v)) >= 2**63 for v in vals.tolist()):
+        for build in (IntCSR.from_entries, loose_csr):
+            with pytest.raises(ValueError, match=r"weight -?\d+ is not an integer of magnitude below 2\^63"):
+                build(shape, rows, cols, vals)
+        return
+    ints = vals.astype(np.int64)
+    try:
+        ref = sparse.coo_array((ints, (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+                               shape=shape).tocsr()
+    except ValueError:  # an index outside the shape
+        with pytest.raises(ValueError, match="entry index outside"):
+            IntCSR.from_entries(shape, rows, cols, vals)
+        if all(0 <= r < shape[0] for r in rows):
+            with pytest.raises(ValueError, match="entry index outside"):
+                loose_csr(shape, rows, cols, vals)
+        return
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    for got in (IntCSR.from_entries(shape, rows, cols, vals), loose_csr(shape, rows, cols, vals)):
+        assert got.shape == ref.shape and got.nnz == ref.nnz
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == np.int64
+            assert getattr(got, name).tolist() == getattr(ref, name).tolist()
+        assert np.array_equal(got.toarray(), ref.toarray())
+    # a layer of the same entries, given as entries, as a scipy matrix with
+    # the duplicates and zeros, or dense, holds the same arrays; its row
+    # bound refusal comes exactly when a row's |weights| pass int64
+    zeros = np.zeros(shape[0], dtype=np.int64)
+    builds = [lambda: ThresholdLayer.integer_from_entries(*shape, rows, cols, vals, zeros),
+              lambda: ThresholdLayer.integer(sparse.coo_array((ints, (rows, cols)), shape=shape), zeros),
+              lambda: ThresholdLayer.integer(ref.toarray(), zeros)]
+    bound = max((sum(abs(v) for v in ref.data[ref.indptr[r]:ref.indptr[r + 1]].tolist())
+                 for r in range(shape[0])), default=0)
+    for build in builds:
+        if bound > INT64_MAX:
+            with pytest.raises(ValueError, match="past the int64 maximum"):
+                build()
+        else:
+            W = build().weights
+            assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == (
+                ref.indptr.tolist(), ref.indices.tolist(), ref.data.tolist())
+
+
+@pytest.mark.parametrize("cols_n", [7, 2**62])
+def test_owned_csr_orders_entries_of_any_shape(cols_n):
+    # entries are ordered by row, then column, even where a flat index
+    # row * cols_n + col would pass int64
+    W = IntCSR.from_entries((2, cols_n), [1, 0, 1, 0, 1], [0, cols_n - 1, 0, 3, 5],
+                            [4, 2, -4, 9, 1])
+    assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == (
+        [0, 2, 3], [3, cols_n - 1, 5], [9, 2, 1])
+
+
+def test_owned_csr_owns_read_only_arrays_and_takes_rows():
+    W = ThresholdLayer.integer(np.array([[0, 3, 0, 1], [-4, 0, 0, 0], [1, 1, 1, 1]]),
+                               np.zeros(3, dtype=np.int64)).weights
+    for a in (W.indptr, W.indices, W.data):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    # the entry arrays a caller passes stay its own
+    rows, cols, vals = np.array([0, 1]), np.array([1, 0]), np.array([5, 6])
+    own = IntCSR.from_entries((2, 2), rows, cols, vals)
+    cols[0], vals[0] = 0, 7
+    assert own.toarray().tolist() == [[0, 5], [6, 0]]
+    sub = W.take_rows(np.array([True, False, True]))
+    assert sub.toarray().tolist() == [[0, 3, 0, 1], [1, 1, 1, 1]]
+    assert sub.indptr.tolist() == [0, 2, 6]
+
+
+@pytest.mark.parametrize("indptr", [[0, 3], [0, 2, 1, 3], [0, 4, 3], [1, 2, 3], [0, 1, 2],
+                                    [0, 1.0, 3], [[0, 1, 3]]])
+def test_owned_csr_refuses_a_malformed_indptr(indptr):
+    with pytest.raises(ValueError, match="indptr must rise from 0 to the entry count in 3 integers"):
+        IntCSR(np.array(indptr), np.array([0, 1, 0]), np.array([1, 1, 1]), (2, 2))
+
+
+def test_layer_holds_a_canonical_copy_of_a_hand_built_csr():
+    # row 0 lists column 2 before 0, column 0 twice and a stored zero
+    indptr, indices = np.array([0, 4, 5]), np.array([2, 0, 0, 1, 1])
+    data = np.array([3, 1, 4, 0, -2])
+    layer = ThresholdLayer.integer(IntCSR(indptr, indices, data, (2, 3)), np.zeros(2, dtype=np.int64))
+    W = layer.weights
+    assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == ([0, 2, 3], [0, 2, 1], [5, 3, -2])
+    for a in (indptr, indices, data):  # the caller's arrays stay its own, and writable
+        assert a.flags.writeable
+    indices[0], data[0] = 1, 9
+    assert W.toarray().tolist() == [[5, 0, 3], [0, -2, 0]]
+
+
+def dense_evaluate(layers, X):
+    """Every layer as exact Python-int sums over its dense matrix."""
+    Z = np.asarray(X).astype(object)
+    for layer in layers:
+        W = layer.weights.toarray().astype(object)
+        Z = ((Z @ W.T + layer.biases.astype(object)) >= 0).astype(np.int64).astype(object)
+    return Z.astype(np.int8)
+
+
+@st.composite
+def bound_reaching_stacks(draw):
+    """Integer layers whose rows reach up to the int64 row bound, their
+    sums of |weights| on both sides of 2^53, and bits for them."""
+    dims = [draw(st.integers(3, 8))]
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        in_dim, out_dim = dims[-1], draw(st.integers(1, 8))
+        top = draw(st.sampled_from([3, 2**50, 2**51, 2**53, 2**59]))
+        r, c, v, b = [], [], [], []
+        for row in range(out_dim):
+            fan_in = draw(st.integers(0, in_dim))
+            cols = draw(st.lists(st.integers(0, in_dim - 1), min_size=fan_in, max_size=fan_in,
+                                 unique=True))
+            ws = [draw(st.integers(-top, top).filter(bool)) for _ in cols]
+            reach = sum(abs(w) for w in ws)
+            room = INT64_MAX - reach  # in_dim * 2^59 <= 2^62 leaves room
+            b.append(draw(st.integers(-reach - 1, reach + 1) | st.sampled_from([-room, room])))
+            r += [row] * fan_in
+            c += cols
+            v += ws
+        layers.append(ThresholdLayer.integer_from_entries(out_dim, in_dim, r, c, v,
+                                                          np.array(b, dtype=np.int64)))
+        dims.append(out_dim)
+    n = draw(st.sampled_from([1, 63, 64, 65, PACK_BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((n, dims[0])) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    return layers, X.astype(draw(st.sampled_from([np.int8, float, bool])))
+
+
+@given(bound_reaching_stacks())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_layers_matches_dense_integers(stack):
+    layers, X = stack
+    assert np.array_equal(evaluate_layers(layers, X), dense_evaluate(layers, X))
+
+
+@pytest.mark.parametrize("top", [2**50, 2**60])
+def test_wide_rows_sum_exactly_on_both_sides_of_2_53(top):
+    # on (1, 1, 0, 0) row 0 scores top - 1 - top = -1; a float64 sum of
+    # 2^60 - 1 rounds to 2^60 and would score 0
+    W = np.array([[top, -1, 1, 1], [-top, 1, 1, -1]])
+    b = np.array([-top, top - 2])
+    layer = ThresholdLayer.integer(W, b)
+    assert layer._packed_plan().wide_rows.tolist() == [0, 1]
+    X = np.array(list(itertools.product([0, 1], repeat=4)))
+    assert np.array_equal(evaluate_layers([layer], X), dense_evaluate([layer], X))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_layer_on_non_bits_rounds_as_scipy(data):
+    # an integer first layer multiplies non-bit inputs in float64; each sum
+    # runs from zero over the row's entries in index order, as scipy's
+    # csr @ dense does, so both round every sum alike
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    out_dim, in_dim = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    top = data.draw(st.sampled_from([3, 2**20, 2**53, 2**59]))  # 12 * 2^59 < 2^63
+    W = rng.integers(-top, top + 1, (out_dim, in_dim)) * (rng.random((out_dim, in_dim)) < 0.7)
+    layer = ThresholdLayer.integer(W, rng.integers(-top, top + 1, out_dim))
+    B = data.draw(st.sampled_from([1, 2, 255, EVAL_CHUNK, EVAL_CHUNK + 3]))
+    if data.draw(st.booleans()):
+        Z = rng.standard_normal((in_dim, B)) * 10.0 ** rng.integers(-3, 20, (in_dim, 1))
+    else:
+        Z = rng.integers(-(2**40), 2**40, (in_dim, B))
+    want = scipy_csr(layer.weights) @ Z.astype(np.float64)
+    assert netcore._integer_product(layer.weights, Z.astype(np.float64)).tobytes() == want.tobytes()
+    bits = (want + layer.biases[:, None] >= 0).T.astype(np.int8)
+    assert np.array_equal(evaluate_layers([layer], Z.T), bits)
