@@ -56,36 +56,14 @@ class IntCSR:
 
     __slots__ = ("indptr", "indices", "data", "shape")
 
-    def __init__(self, indptr, indices, data, shape):
-        """The matrix of CSR arrays in the looser form scipy's csr_array
-        takes: columns in any order within a row, duplicates and zeros
-        allowed. They are made canonical as from_entries makes its entries."""
-        indptr = np.asarray(indptr)
-        if not (indptr.shape == (shape[0] + 1,) and indptr.dtype.kind in "iu" and indptr[0] == 0
-                and indptr[-1] == len(indices) and (np.diff(indptr) >= 0).all()):
-            raise ValueError(f"indptr must rise from 0 to the entry count in {shape[0] + 1} integers")
-        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
-        self._hold(*_canonical_entries(shape, rows, indices, data), shape)
-
-    @classmethod
-    def from_entries(cls, shape, rows, cols, vals) -> "IntCSR":
-        """The matrix of (row, col, value) entries in any order; duplicates
-        are summed, then zeros dropped. Raises ValueError for a value the
-        int64 cast would not keep or an index outside shape."""
-        return cls._trusted(*_canonical_entries(shape, rows, cols, vals), shape)
-
-    @classmethod
-    def _trusted(cls, indptr, indices, data, shape) -> "IntCSR":
-        """Arrays already canonical and owned by nobody else, held as they are."""
-        W = cls.__new__(cls)
-        W._hold(indptr, indices, data, shape)
-        return W
-
-    def _hold(self, indptr, indices, data, shape) -> None:
-        for a in (indptr, indices, data):
-            a.flags.writeable = False
-        self.indptr, self.indices, self.data = indptr, indices, data
+    def __init__(self, shape, rows, cols, vals):
+        """The matrix of (row, col, value) entries in any order, in new
+        arrays; duplicates are summed, then zeros dropped. Raises ValueError
+        for an index or value _int64_values refuses or an index outside shape."""
         self.shape = (int(shape[0]), int(shape[1]))
+        self.indptr, self.indices, self.data = _canonical_entries(self.shape, rows, cols, vals)
+        for a in (self.indptr, self.indices, self.data):
+            a.flags.writeable = False
 
     @property
     def nnz(self) -> int:
@@ -100,25 +78,14 @@ class IntCSR:
         out[self.row_of(), self.indices] = self.data
         return out
 
-    def take_rows(self, keep: np.ndarray) -> "IntCSR":
-        """The matrix of the rows where the boolean vector keep is set."""
-        fan_in = np.diff(self.indptr)
-        entries = np.repeat(keep, fan_in)
-        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-        np.cumsum(fan_in[keep], out=indptr[1:])
-        return IntCSR._trusted(indptr, self.indices[entries], self.data[entries],
-                               (indptr.size - 1, self.shape[1]))
-
 
 def _canonical_entries(shape, rows, cols, vals):
     """(indptr, indices, data) of the matrix of (row, col, value) entries in
     any order, in new int64 arrays: sorted by row, then column, duplicates
     summed, zeros dropped. Entries that already keep _entries_obey_rules'
     order take one pass."""
-    vals = np.asarray(vals)
-    _check_int64_values(vals, "weight")
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    vals = vals.astype(np.int64, copy=False)
+    rows, cols = _int64_values(rows, "row index"), _int64_values(cols, "column index")
+    vals = _int64_values(vals, "weight")
     if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
         raise ValueError("entry rows, columns and values must be vectors of one length")
     if _entries_obey_rules(rows, cols, vals, shape[0], shape[1], INTEGER):
@@ -154,8 +121,13 @@ class ThresholdLayer:
         if domain not in (REAL, INTEGER):
             raise ValueError(f"unknown weight domain {domain!r}")
         if domain == REAL:
-            weights = np.array(weights, dtype=np.float64)
-            biases = np.array(biases, dtype=np.float64)
+            weights, biases = np.asarray(weights), np.asarray(biases)
+            # the float64 cast would parse strings, drop imaginary parts and
+            # overflow on a Python int past the float range
+            for a, what in ((weights, "weights"), (biases, "biases")):
+                if a.dtype.kind not in "biuf":
+                    raise ValueError(f"real layer {what} dtype {a.dtype} is not bool, integer or float")
+            weights, biases = weights.astype(np.float64), biases.astype(np.float64)
             if weights.ndim != 2:
                 raise ValueError("real weights must be a 2-D array")
             # a NaN or infinity would be saved as a document load refuses
@@ -166,9 +138,7 @@ class ThresholdLayer:
         else:
             if not isinstance(weights, IntCSR):  # every IntCSR is canonical
                 weights = _as_csr(weights)
-            biases = np.asarray(biases)
-            _check_int64_values(biases, "bias")
-            biases = biases.astype(np.int64)
+            biases = _int64_values(biases, "bias").copy()  # never the caller's array
             biases.flags.writeable = False
         if biases.ndim != 1 or weights.shape[0] != biases.shape[0]:
             raise ValueError(
@@ -210,7 +180,7 @@ class ThresholdLayer:
     @classmethod
     def integer_from_entries(cls, out_dim, in_dim, rows, cols, vals, biases) -> "ThresholdLayer":
         """Integer layer from parallel (row, col, value) entry arrays."""
-        return cls(IntCSR.from_entries((out_dim, in_dim), rows, cols, vals), biases, INTEGER)
+        return cls(IntCSR((out_dim, in_dim), rows, cols, vals), biases, INTEGER)
 
     def weight_entries(self) -> int:
         """Structural nonzero count: all entries for dense real layers."""
@@ -239,37 +209,41 @@ class ThresholdLayer:
         )
 
 
-def _check_int64_values(values: np.ndarray, what: str) -> None:
-    """Refuse a value the int64 cast would not keep: a fraction, a NaN, a
-    float at or past 2^63, which the cast turns into -2^63, an unsigned
-    value past 2^63 - 1, which it wraps, or a Python int past int64, which
-    numpy holds in an object array."""
-    if values.dtype.kind == "i":
-        return
-    if values.dtype.kind == "u":
+def _int64_values(values, what: str) -> np.ndarray:
+    """values as an int64 array, the caller's own if it is one: the one rule
+    for what an integer layer takes as an integer. Raises ValueError, before
+    any cast, for a value the cast would not keep: a non-number such as a
+    string or a complex number, a fraction, a NaN, a float at or past 2^63,
+    which the cast turns into -2^63, an unsigned value past 2^63 - 1, which
+    it wraps, or a Python int past int64, which numpy holds in an object
+    array."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in "biufO":
+        raise ValueError(f"integer layer {what} dtype {values.dtype} is not bool, integer or float")
+    bad = ()
+    if kind == "u":
         bad = values[values > np.uint64(_INT64_MAX)]
-    elif values.dtype == object:
+    elif kind == "O":
         bad = [v for v in values.flat
                if not (isinstance(v, (int, float)) and abs(v) < 2**63 and v == round(v))]
-    else:
+    elif kind == "f":
         bad = values[~((values == np.round(values)) & (np.abs(values) < 2.0**63))]
     if len(bad):
         raise ValueError(f"integer layer {what} {bad[0]} is not an integer "
                          "of magnitude below 2^63")
+    return values.astype(np.int64, copy=False)
 
 
 def _as_csr(weights) -> IntCSR:
-    """A dense 2-D array, or a sparse matrix with tocsr(), as an IntCSR."""
-    if hasattr(weights, "tocsr"):
-        W = weights.tocsr()
-        return IntCSR(W.indptr, W.indices, W.data, W.shape)
-    weights = np.asarray(weights)
-    if weights.ndim != 2:
+    """A dense 2-D array as an IntCSR; every value is checked, as the
+    zeros nonzero skips include a falsy None."""
+    W = np.asarray(weights)
+    if W.ndim != 2:
         raise ValueError("integer weights must be a 2-D array")
-    # every value, as the zeros nonzero skips include a falsy None
-    _check_int64_values(weights, "weight")
-    rows, cols = np.nonzero(weights)
-    return IntCSR.from_entries(weights.shape, rows, cols, weights[rows, cols])
+    W = _int64_values(W, "weight")
+    rows, cols = np.nonzero(W)
+    return IntCSR(W.shape, rows, cols, W[rows, cols])
 
 
 def _check_row_bounds(W: IntCSR, biases: np.ndarray) -> None:
@@ -382,15 +356,17 @@ class _PackedPlan:
         self.cb = _word_masks(f00 ^ f01)
         self.cab = _word_masks(f00 ^ f10 ^ f01 ^ f11)
 
-        if self.wide_rows.size:
-            self._index_wide(W.take_rows(~pair), biases[~pair])
-
-    def _index_wide(self, wide: IntCSR, biases: np.ndarray) -> None:
-        """The wide rows' entries listed by input, as _apply_wide gathers them."""
-        self.wide_neg_bias = -biases[:, None]
-        order = np.argsort(wide.indices, kind="stable")  # by input, then row
-        self.readers, self.reader_weights = wide.row_of()[order], wide.data[order]
-        fan_out = np.bincount(wide.indices, minlength=wide.shape[1])
+        if not self.wide_rows.size:
+            return
+        # the wide rows' entries listed by input, then row, as _apply_wide
+        # gathers them; a reader is a row's place among the wide rows
+        self.wide_neg_bias = -biases[~pair, None]
+        listed = np.repeat(~pair, fan_in)
+        inputs = W.indices[listed]
+        order = np.argsort(inputs, kind="stable")
+        self.readers = np.repeat(np.arange(self.wide_rows.size), fan_in[~pair])[order]
+        self.reader_weights = W.data[listed][order]
+        fan_out = np.bincount(inputs, minlength=W.shape[1])
         self.read = np.flatnonzero(fan_out)  # the inputs some wide row reads
         self.fan_out = fan_out[self.read]
         self.first_reader = (np.cumsum(fan_out) - fan_out)[self.read]
@@ -524,6 +500,8 @@ def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
     PACK_BLOCK samples at a time. Raises ValueError unless every input is a
     finite bool, integer or float: no threshold compares others meaningfully.
     """
+    if not layers:
+        raise ValueError("no layers to evaluate")
     X = np.asarray(xs)
     if X.ndim != 2 or X.shape[1] != layers[0].in_dim:
         raise ValueError(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -171,7 +171,7 @@ def test_audit_counts_dense_single_layer():
 
 
 def test_audit_counts_sparse_integer_layers():
-    W = sparse.csr_array(np.array([[0, 3, 0], [-4, 0, 0]]))
+    W = IntCSR((2, 3), [0, 1], [1, 0], [3, -4])
     layer = ThresholdLayer.integer(W, np.array([0, -2]))
     net = ThresholdNetwork(
         [layer, ThresholdLayer.integer(np.array([[1, 1]]), np.array([-1]))], input_dim=3
@@ -218,13 +218,66 @@ def test_integer_layer_rejects_uint64_past_int64(bad):
     # the int64 cast wrapped these: 2^64 - 1 became the weight -1, and a
     # bias of 2^63 was refused with a made-up row sum that did not name it
     W = np.array([[bad, 1]], dtype=np.uint64)
-    for weights in (W, sparse.csr_array(W)):
+    for build in (lambda: ThresholdLayer.integer(W, np.array([0])),
+                  lambda: ThresholdLayer.integer_from_entries(1, 2, [0, 0], [0, 1], W[0], [0])):
         with pytest.raises(ValueError, match=f"weight {bad} is not an integer"):
-            ThresholdLayer.integer(weights, np.array([0]))
+            build()
     with pytest.raises(ValueError, match=f"bias {bad} is not an integer"):
         ThresholdLayer.integer(np.array([[1, 1]]), np.array([bad], dtype=np.uint64))
     top = ThresholdLayer.integer(np.array([[INT64_MAX]], dtype=np.uint64), np.array([0]))
     assert top.weights.data.tolist() == [INT64_MAX]
+
+
+NOT_NUMBERS = {"string": "1", "complex": 1 + 5j}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_integer_layer_refuses_non_numbers(bad):
+    # "1" raised TypeError from np.round, and 1 + 5j was kept as 1
+    for what, build in [
+        ("weight", lambda: ThresholdLayer.integer(np.array([[bad]]), np.array([0]))),
+        ("bias", lambda: ThresholdLayer.integer(np.array([[1]]), np.array([bad]))),
+        ("weight", lambda: ThresholdLayer.integer_from_entries(1, 1, [0], [0], [bad], [0])),
+    ]:
+        with pytest.raises(ValueError, match=f"integer layer {what} dtype .* is not bool, integer or float"):
+            build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["0.5", 1 + 2j, 10**400], ids=["string", "complex", "past-float"])
+def test_real_layer_refuses_non_numbers(bad):
+    # the float64 cast read "0.5" as 0.5, kept the 1.0 of 1 + 2j and
+    # raised OverflowError on 10**400
+    with pytest.raises(ValueError, match="real layer weights dtype .* is not bool, integer or float"):
+        ThresholdLayer.real(np.array([[bad, 1]]), [0.0])
+    with pytest.raises(ValueError, match="real layer biases dtype .* is not bool, integer or float"):
+        ThresholdLayer.real([[1.0]], np.array([bad]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.5, 1.7, "1", 1e30, 2**70, 1 + 0j],
+                         ids=["half", "fraction", "string", "past-int64-float", "past-int64-int", "complex"])
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_entries_refuse_indices_that_are_not_integers(axis, bad):
+    # the int64 cast truncated 0.5 and 1.7, parsed "1", and raised
+    # OverflowError on 1e30 and 2**70
+    rows, cols = ([bad], [0]) if axis == "row" else ([0], [bad])
+    for build in (lambda: IntCSR((2, 2), rows, cols, [3]),
+                  lambda: ThresholdLayer.integer_from_entries(2, 2, rows, cols, [3], [0, 0])):
+        with pytest.raises(ValueError, match=f"integer layer {axis} index .*(not an integer of magnitude "
+                                             r"below 2\^63|not bool, integer or float)"):
+            build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [[], np.array([1]), np.array([1], dtype=np.uint64),
+                                   np.array([1], dtype=object), [1.0]],
+                         ids=["empty", "int64", "uint64", "object", "whole-float"])
+def test_entries_take_integer_indices_of_any_number_type(index):
+    # an empty list reads as float64, and must still give an empty matrix
+    W = IntCSR((2, 2), index, index, [3] * len(index))
+    assert W.toarray().tolist() == ([[0, 0], [0, 3]] if len(index) else [[0, 0], [0, 0]])
 
 
 def test_network_shape_validation():
@@ -833,6 +886,12 @@ def test_non_real_input_is_rejected(entry, batch):
             call()
 
 
+def test_evaluate_layers_refuses_an_empty_stack():
+    # layers[0] raised IndexError
+    with pytest.raises(ValueError, match="no layers to evaluate"):
+        evaluate_layers([], np.zeros((1, 1)))
+
+
 def test_empty_batch_gives_empty_result():
     net = xor_gadget_net()
     assert forward_batch(net, np.zeros((0, 2))).shape == (0,)
@@ -863,25 +922,15 @@ def entry_lists(draw):
     return shape, rows, cols, np.array(vals, dtype=dtype)
 
 
-def loose_csr(shape, rows, cols, vals):
-    """IntCSR's constructor on the entries as CSR arrays in the looser form
-    scipy's csr_array takes: rows in order, columns in any order within a
-    row, duplicates and zeros kept. Needs every row index inside shape."""
-    rows = np.array(rows, dtype=np.int64)
-    by_row = np.argsort(rows, kind="stable")
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
-    return IntCSR(indptr, np.array(cols, dtype=np.int64)[by_row], vals[by_row], shape)
-
-
 @given(entry_lists())
+@example(((1, 1), [-1] + [0] * 10, [0] * 11, np.array([0] * 10 + [2**63], dtype=np.uint64)))
 @settings(max_examples=400, deadline=None)
 def test_owned_csr_matches_scipy(case):
     shape, rows, cols, vals = case
     # an int64 array holds int64 values; any other needs magnitudes below 2^63
     if vals.dtype != np.int64 and any(abs(int(v)) >= 2**63 for v in vals.tolist()):
-        for build in (IntCSR.from_entries, loose_csr):
-            with pytest.raises(ValueError, match=r"weight -?\d+ is not an integer of magnitude below 2\^63"):
-                build(shape, rows, cols, vals)
+        with pytest.raises(ValueError, match=r"weight -?\d+ is not an integer of magnitude below 2\^63"):
+            IntCSR(shape, rows, cols, vals)
         return
     ints = vals.astype(np.int64)
     try:
@@ -889,25 +938,21 @@ def test_owned_csr_matches_scipy(case):
                                shape=shape).tocsr()
     except ValueError:  # an index outside the shape
         with pytest.raises(ValueError, match="entry index outside"):
-            IntCSR.from_entries(shape, rows, cols, vals)
-        if all(0 <= r < shape[0] for r in rows):
-            with pytest.raises(ValueError, match="entry index outside"):
-                loose_csr(shape, rows, cols, vals)
+            IntCSR(shape, rows, cols, vals)
         return
     ref.sum_duplicates()
     ref.eliminate_zeros()
-    for got in (IntCSR.from_entries(shape, rows, cols, vals), loose_csr(shape, rows, cols, vals)):
-        assert got.shape == ref.shape and got.nnz == ref.nnz
-        for name in ("indptr", "indices", "data"):
-            assert getattr(got, name).dtype == np.int64
-            assert getattr(got, name).tolist() == getattr(ref, name).tolist()
-        assert np.array_equal(got.toarray(), ref.toarray())
-    # a layer of the same entries, given as entries, as a scipy matrix with
-    # the duplicates and zeros, or dense, holds the same arrays; its row
-    # bound refusal comes exactly when a row's |weights| pass int64
+    got = IntCSR(shape, rows, cols, vals)
+    assert got.shape == ref.shape and got.nnz == ref.nnz
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == np.int64
+        assert getattr(got, name).tolist() == getattr(ref, name).tolist()
+    assert np.array_equal(got.toarray(), ref.toarray())
+    # a layer of the same entries, given as entries or dense, holds the same
+    # arrays; its row bound refusal comes exactly when a row's |weights|
+    # pass int64
     zeros = np.zeros(shape[0], dtype=np.int64)
     builds = [lambda: ThresholdLayer.integer_from_entries(*shape, rows, cols, vals, zeros),
-              lambda: ThresholdLayer.integer(sparse.coo_array((ints, (rows, cols)), shape=shape), zeros),
               lambda: ThresholdLayer.integer(ref.toarray(), zeros)]
     bound = max((sum(abs(v) for v in ref.data[ref.indptr[r]:ref.indptr[r + 1]].tolist())
                  for r in range(shape[0])), default=0)
@@ -925,46 +970,51 @@ def test_owned_csr_matches_scipy(case):
 def test_owned_csr_orders_entries_of_any_shape(cols_n):
     # entries are ordered by row, then column, even where a flat index
     # row * cols_n + col would pass int64
-    W = IntCSR.from_entries((2, cols_n), [1, 0, 1, 0, 1], [0, cols_n - 1, 0, 3, 5],
-                            [4, 2, -4, 9, 1])
+    W = IntCSR((2, cols_n), [1, 0, 1, 0, 1], [0, cols_n - 1, 0, 3, 5],
+                [4, 2, -4, 9, 1])
     assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == (
         [0, 2, 3], [3, cols_n - 1, 5], [9, 2, 1])
 
 
-def test_owned_csr_owns_read_only_arrays_and_takes_rows():
-    W = ThresholdLayer.integer(np.array([[0, 3, 0, 1], [-4, 0, 0, 0], [1, 1, 1, 1]]),
-                               np.zeros(3, dtype=np.int64)).weights
-    for a in (W.indptr, W.indices, W.data):
-        with pytest.raises(ValueError):
-            a[0] = 7
-    # the entry arrays a caller passes stay its own
-    rows, cols, vals = np.array([0, 1]), np.array([1, 0]), np.array([5, 6])
-    own = IntCSR.from_entries((2, 2), rows, cols, vals)
-    cols[0], vals[0] = 0, 7
-    assert own.toarray().tolist() == [[0, 5], [6, 0]]
-    sub = W.take_rows(np.array([True, False, True]))
-    assert sub.toarray().tolist() == [[0, 3, 0, 1], [1, 1, 1, 1]]
-    assert sub.indptr.tolist() == [0, 2, 6]
-
-
-@pytest.mark.parametrize("indptr", [[0, 3], [0, 2, 1, 3], [0, 4, 3], [1, 2, 3], [0, 1, 2],
-                                    [0, 1.0, 3], [[0, 1, 3]]])
-def test_owned_csr_refuses_a_malformed_indptr(indptr):
-    with pytest.raises(ValueError, match="indptr must rise from 0 to the entry count in 3 integers"):
-        IntCSR(np.array(indptr), np.array([0, 1, 0]), np.array([1, 1, 1]), (2, 2))
-
-
 def test_layer_holds_a_canonical_copy_of_a_hand_built_csr():
     # row 0 lists column 2 before 0, column 0 twice and a stored zero
-    indptr, indices = np.array([0, 4, 5]), np.array([2, 0, 0, 1, 1])
-    data = np.array([3, 1, 4, 0, -2])
-    layer = ThresholdLayer.integer(IntCSR(indptr, indices, data, (2, 3)), np.zeros(2, dtype=np.int64))
+    rows, cols = np.array([0, 0, 0, 0, 1]), np.array([2, 0, 0, 1, 1])
+    vals = np.array([3, 1, 4, 0, -2])
+    biases = np.zeros(2, dtype=np.int64)
+    layer = ThresholdLayer.integer(IntCSR((2, 3), rows, cols, vals), biases)
     W = layer.weights
     assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == ([0, 2, 3], [0, 2, 1], [5, 3, -2])
-    for a in (indptr, indices, data):  # the caller's arrays stay its own, and writable
+    # the arrays a caller passes stay its own and writable, also where they
+    # are int64 and could have been held as they are
+    for a in (cols, biases):
         assert a.flags.writeable
-    indices[0], data[0] = 1, 9
+        a[0] = 1
+    vals[0] = 9
     assert W.toarray().tolist() == [[5, 0, 3], [0, -2, 0]]
+    assert layer.biases.tolist() == [0, 0]
+
+
+def test_owned_csr_owns_read_only_arrays_and_takes_rows():
+    layer = ThresholdLayer.integer(np.array([[2, 3, 0, 1], [-4, 0, 0, 0], [1, 1, 1, 1]]),
+                                   np.array([-4, 0, -3]))
+    W = layer.weights
+    for a in (W.indptr, W.indices, W.data, layer.biases):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    # entry arrays that are canonical already stay the caller's own
+    rows, cols, vals = np.array([0, 1]), np.array([1, 0]), np.array([5, 6])
+    own = IntCSR((2, 2), rows, cols, vals)
+    cols[0], vals[0] = 0, 7
+    assert own.toarray().tolist() == [[0, 5], [6, 0]]
+    # the packed plan takes the wide rows 0 and 2 and lists their entries
+    # by input, then row
+    plan = layer._packed_plan()
+    assert (plan.pair_rows.tolist(), plan.wide_rows.tolist()) == ([1], [0, 2])
+    assert plan.readers.tolist() == [0, 1, 0, 1, 1, 0, 1]
+    assert plan.reader_weights.tolist() == [2, 1, 3, 1, 1, 1, 1]
+    assert plan.wide_neg_bias.ravel().tolist() == [4, 3]
+    X = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.int8)
+    assert (evaluate_layers([layer], X) == (X @ W.toarray().T + layer.biases >= 0)).all()
 
 
 def dense_evaluate(layers, X):
