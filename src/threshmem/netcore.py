@@ -1,13 +1,14 @@
 """Threshold-network data model: exact forward evaluation, size audits, JSON I/O.
 
 A network is a stack of affine layers followed by the Heaviside step
-sigma(z) = 1 iff z >= 0 (ties activate). The first layer may carry real
-weights; all other layers built by this package carry bounded integers
-stored sparsely in an int64 CSR. Their evaluation on {0,1} inputs is
-exact, with no rounding: bits are packed 64 samples to a uint64 word, rows
-with at most two inputs run as truth tables on whole words, and wider rows
-gather their weights over the set input bits into one accumulator per row
-and sample.
+sigma(z) = 1 iff z >= 0 (ties activate). Only the first layer may carry
+real weights: evaluation refuses a real layer after it, and an integer
+first layer given inputs other than 0 and 1. Integer layers hold bounded
+integers stored sparsely in an int64 CSR and read bits only, exactly, with
+no rounding: bits are packed 64 samples to a uint64 word, rows with at
+most two inputs run as truth tables on whole words, and wider rows gather
+their weights over the set input bits into one accumulator per row and
+sample.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ TIE_TOLERANCE = 1e-12
 #: block padded to it, so that results never depend on caller batching.
 EVAL_CHUNK = 256
 
-#: Integer layers evaluate this many samples at a time, packed 64 to a
-#: word, so their memory does not grow with the batch. A multiple of
-#: EVAL_CHUNK, so real-layer blocks start where they would without it.
+#: A stack evaluates this many samples at a time, its integer layers on
+#: bits packed 64 to a word, so memory does not grow with the batch. A
+#: multiple of EVAL_CHUNK, so real-layer blocks start where they would
+#: without it.
 PACK_BLOCK = 1024
 
 
@@ -225,14 +227,21 @@ def _int64_values(values, what: str) -> np.ndarray:
     if kind == "u":
         bad = values[values > np.uint64(_INT64_MAX)]
     elif kind == "O":
-        bad = [v for v in values.flat
-               if not (isinstance(v, (int, float)) and abs(v) < 2**63 and v == round(v))]
+        bad = [v for v in values.flat if not _whole_below_2_63(v)]
     elif kind == "f":
         bad = values[~((values == np.round(values)) & (np.abs(values) < 2.0**63))]
     if len(bad):
         raise ValueError(f"integer layer {what} {bad[0]} is not an integer "
                          "of magnitude below 2^63")
     return values.astype(np.int64, copy=False)
+
+
+def _whole_below_2_63(v) -> bool:
+    """Whether an object-array value is a Python or numpy integer or float
+    that is whole and below 2^63 in magnitude."""
+    if isinstance(v, (np.integer, np.floating)):
+        v = v.item()  # Python ints and floats compare exactly, without wrapping
+    return isinstance(v, (int, float)) and abs(v) < 2**63 and v == round(v)
 
 
 def _as_csr(weights) -> IntCSR:
@@ -308,7 +317,7 @@ def _word_masks(flags: np.ndarray) -> np.ndarray:
     return np.where(flags, _ALL_ONES, np.uint64(0))[:, None]
 
 
-#: Terms the integer products gather at a time: blocks this small reuse
+#: Terms the wide rows' gather takes at a time: blocks this small reuse
 #: their memory, where larger ones page in fresh memory every call.
 _BLOCK_TERMS = 1 << 15
 
@@ -437,56 +446,31 @@ def _unpack(P: np.ndarray, B: int) -> np.ndarray:
     return np.unpackbits(P.view(np.uint8), axis=1, count=B, bitorder="little").view(bool)
 
 
-def _apply_layer(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
-    """One layer on an (in_dim, B) block of unpacked values, B at most
-    EVAL_CHUNK; (out_dim, B) bool.
+def _apply_real(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
+    """A real layer on an (in_dim, B) block of inputs; (out_dim, B) bool.
 
-    Real layers run here, and an integer layer whose input is not all bits.
-    Both compute in float64, which is exact for an integer layer while every
-    term stays below 2^53. A real layer's block is padded with zero columns
-    to EVAL_CHUNK, so every product has one shape: BLAS may round a column
+    The block runs EVAL_CHUNK columns at a time, a shorter one padded with
+    zero columns, so every product has one shape: BLAS may round a column
     of a narrow product differently from the same column of a wide one.
     """
     B = Z.shape[1]
-    if layer.is_integer:
-        P = _integer_product(layer.weights, Z.astype(np.float64))
-    else:
+    out = np.empty((layer.out_dim, B), dtype=bool)
+    tie = False
+    for c in range(0, B, EVAL_CHUNK):
+        n = min(EVAL_CHUNK, B - c)
         padded = np.zeros((Z.shape[0], EVAL_CHUNK))
-        padded[:, :B] = Z
-        P = (layer.weights @ padded)[:, :B]
-    P += layer.biases[:, None]
-    if layer.domain == REAL and np.any(np.abs(P) <= TIE_TOLERANCE):
+        padded[:, :n] = Z[:, c : c + n]
+        P = (layer.weights @ padded)[:, :n]
+        P += layer.biases[:, None]
+        tie = tie or bool(np.any(np.abs(P) <= TIE_TOLERANCE))
+        out[:, c : c + n] = P >= 0
+    if tie:
         warnings.warn(
             "real-layer pre-activation within tie tolerance of zero; "
             "the resulting bit is numerically fragile",
             ThresholdTieWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
-    return P >= 0
-
-
-def _integer_product(W: IntCSR, Z: np.ndarray) -> np.ndarray:
-    """W @ Z in float64, each sum taken from zero over its row's entries in
-    index order, as scipy's csr_matvecs takes it, so the two round alike
-    and a column's sums never depend on the others. np.add.at adds its
-    terms one at a time in the order given; flat indices keep it on its
-    fast loop."""
-    B = Z.shape[1]
-    acc = np.zeros(W.shape[0] * B)
-    row_of = W.row_of()
-    step = max(1, _BLOCK_TERMS // max(B, 1))
-    for lo in range(0, W.nnz, step):
-        at = slice(lo, lo + step)
-        terms = W.data[at, None].astype(np.float64) * Z[W.indices[at]]
-        np.add.at(acc, (row_of[at, None] * B + np.arange(B)).ravel(), terms.ravel())
-    return acc.reshape(W.shape[0], B)
-
-
-def _apply_chunked(layer: ThresholdLayer, Z: np.ndarray) -> np.ndarray:
-    """_apply_layer on each EVAL_CHUNK columns of Z in turn."""
-    out = np.empty((layer.out_dim, Z.shape[1]), dtype=bool)
-    for c in range(0, Z.shape[1], EVAL_CHUNK):
-        out[:, c : c + EVAL_CHUNK] = _apply_layer(layer, Z[:, c : c + EVAL_CHUNK])
     return out
 
 
@@ -494,11 +478,15 @@ def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
     """Bits produced by a layer stack on a batch of inputs.
 
     xs has shape (N, in_dim); the result has shape (N, out_dim) with int8
-    entries in {0, 1}. Real layers see fixed EVAL_CHUNK-column blocks, so
-    the output is identical however the caller splits the batch. Integer
-    layers on {0,1} inputs run on bits packed 64 samples to a word,
-    PACK_BLOCK samples at a time. Raises ValueError unless every input is a
-    finite bool, integer or float: no threshold compares others meaningfully.
+    entries in {0, 1}. The stack is an optional real first layer, then
+    integer layers. PACK_BLOCK samples at a time, the real layer runs on
+    fixed EVAL_CHUNK-column blocks, so the output is identical however the
+    caller splits the batch; its bits, or the inputs if the first layer is
+    integer, are packed 64 samples to a word once, run through every
+    integer layer and unpacked once. Raises ValueError unless every input
+    is a finite bool, integer or float, as no threshold compares others
+    meaningfully; for a real layer after the first; and for an integer
+    first layer given an input other than 0 or 1.
     """
     if not layers:
         raise ValueError("no layers to evaluate")
@@ -511,24 +499,22 @@ def evaluate_layers(layers: Sequence[ThresholdLayer], xs) -> np.ndarray:
         raise ValueError(f"batch dtype {X.dtype} is not bool, integer or float")
     if X.dtype.kind == "f" and not np.isfinite(X).all():
         raise ValueError("batch contains NaN or infinite inputs")
-    input_bits = layers[0].is_integer and bool(((X == 0) | (X == 1)).all())
+    for k, layer in enumerate(layers[1:], 1):
+        if not layer.is_integer:
+            raise ValueError(f"layer {k} is real: only the first layer may be real")
+    real = None if layers[0].is_integer else layers[0]
+    if real is None:
+        bad = X[(X != 0) & (X != 1)]
+        if bad.size:
+            raise ValueError(f"input {bad[0]} is not 0 or 1, as an integer first layer needs")
+    plans = [layer._packed_plan() for layer in (layers if real is None else layers[1:])]
     out = np.empty((X.shape[0], layers[-1].out_dim), dtype=np.int8)
     for start in range(0, X.shape[0], PACK_BLOCK):
         Z = X[start : start + PACK_BLOCK].T
-        B = Z.shape[1]
-        P = None  # Z's bits, packed, once an integer layer has run on them
-        bits = input_bits
-        for layer in layers:
-            if layer.is_integer and bits:
-                if P is None:
-                    P = _pack(Z.astype(bool, copy=False))
-                P = layer._packed_plan().apply(P)
-            else:
-                if P is not None:
-                    Z, P = _unpack(P, B), None
-                Z = _apply_chunked(layer, Z)
-            bits = True
-        out[start : start + B] = (Z if P is None else _unpack(P, B)).T
+        P = _pack(Z.astype(bool, copy=False) if real is None else _apply_real(real, Z))
+        for plan in plans:
+            P = plan.apply(P)
+        out[start : start + Z.shape[1]] = _unpack(P, Z.shape[1]).T
     return out
 
 

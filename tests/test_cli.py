@@ -463,6 +463,28 @@ def test_deeply_nested_planes_or_manifest_json_is_contract_error(fuzz_base):
     assert_contract_error(["build", "--from-manifest", path], message)
 
 
+@pytest.mark.parametrize("layers, message", [
+    ([{"domain": "integer", "rows": 1, "cols": 2, "entries": [[0, 0, 1], [0, 1, 1]], "bias": [-1]}],
+     "input 0.25 is not 0 or 1, as an integer first layer needs"),
+    ([{"domain": "real", "rows": 1, "cols": 2, "entries": [[0, 0, 1.0]], "bias": [0.5]},
+      {"domain": "real", "rows": 1, "cols": 1, "entries": [[0, 0, 2.0]], "bias": [-1.0]}],
+     "layer 1 is real: only the first layer may be real"),
+], ids=["integer-first-on-reals", "real-layer-1"])
+def test_eval_refuses_a_network_it_cannot_evaluate(tmp_path, layers, message):
+    # both documents load; the evaluator refuses them
+    data, net = tmp_path / "toy.csv", tmp_path / "net.json"
+    data.write_text("label,f1,f2\n1,0.25,-1.5\n0,1.0,0.0\n")
+    net.write_text(json.dumps({"input_dim": 2, "layers": layers}))
+    proc = subprocess.run([sys.executable, "-m", "threshmem.cli", "eval", "--network", str(net),
+                           "--dataset", str(data), "--out", str(tmp_path / "p.csv"),
+                           "--summary", str(tmp_path / "s.json")],
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line)["error"]["message"] == message
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # the separation scans need no scipy.spatial, whose import costs every
     # fresh process about 0.2 s and 17 MB, and the integer layers no
